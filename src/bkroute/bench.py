@@ -191,6 +191,24 @@ def verify_equivalence(graphs: list[Graph]) -> VerificationSummary:
     return VerificationSummary(len(graphs), tuple(mismatched))
 
 
+def bench_cell(spec: GenSpec, graphs: list[Graph], policy: TimingPolicy) -> BenchRow:
+    """Verify and time one set, labelled by the n and m bounds of its spec."""
+    summary = verify_equivalence(graphs)
+    tc = time_solver(graphs, "classic", policy)
+    ta = time_solver(graphs, "accelerated", policy)
+    return BenchRow(
+        range_label(spec.n1, spec.n2),
+        range_label(spec.m1, spec.m2),
+        tc.elapsed_ms,
+        ta.elapsed_ms,
+        tc.sweeps_total,
+        ta.sweeps_total,
+        tc.relaxations_total,
+        ta.relaxations_total,
+        len(summary.mismatched),
+    )
+
+
 def run_grid(
     grid: str, count: int, seed: int, policy: TimingPolicy = TimingPolicy()
 ) -> BenchReport:
@@ -207,23 +225,7 @@ def run_grid(
     rows = []
     for ci, ((n1, n2), (m1, m2)) in enumerate(GRIDS[grid]):
         spec = GenSpec(n1, n2, m1, m2, count, derive_cell_seed(seed, ci))
-        graphs = generate_set(spec)
-        summary = verify_equivalence(graphs)
-        tc = time_solver(graphs, "classic", policy)
-        ta = time_solver(graphs, "accelerated", policy)
-        rows.append(
-            BenchRow(
-                range_label(n1, n2),
-                range_label(m1, m2),
-                tc.elapsed_ms,
-                ta.elapsed_ms,
-                tc.sweeps_total,
-                ta.sweeps_total,
-                tc.relaxations_total,
-                ta.relaxations_total,
-                len(summary.mismatched),
-            )
-        )
+        rows.append(bench_cell(spec, generate_set(spec), policy))
     return BenchReport(
         rows,
         environment_note(policy),

@@ -13,15 +13,13 @@ import sys
 from .bench import (
     GRIDS,
     BenchReport,
-    BenchRow,
     TimingPolicy,
     UndefinedSpeedupError,
     aggregate_speedup,
+    bench_cell,
     emit_table,
     environment_note,
-    range_label,
     run_grid,
-    time_solver,
     verify_equivalence,
 )
 from .generator import GenSpec, generate_set_detailed
@@ -152,22 +150,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not graphs:
         print("error: graph set is empty; nothing to benchmark", file=sys.stderr)
         return 1
-    summary = verify_equivalence(graphs)
-    tc = time_solver(graphs, "classic", policy)
-    ta = time_solver(graphs, "accelerated", policy)
-    row = BenchRow(
-        range_label(spec.n1, spec.n2),
-        range_label(spec.m1, spec.m2),
-        tc.elapsed_ms,
-        ta.elapsed_ms,
-        tc.sweeps_total,
-        ta.sweeps_total,
-        tc.relaxations_total,
-        ta.relaxations_total,
-        len(summary.mismatched),
-    )
     report = BenchReport(
-        [row],
+        [bench_cell(spec, graphs, policy)],
         environment_note(policy),
         f"set={args.infile} count={len(graphs)} seed={spec.seed}",
     )

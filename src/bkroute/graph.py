@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-#: Absent-arc marker. IEEE infinity saturates under addition, so repeated
-#: ext_add can never turn it into a finite value.
+#: Absent-arc marker. IEEE infinity saturates under addition, so no sum of
+#: weights along a sweep can turn it into a finite value.
 INF: float = math.inf
 
 #: Largest admissible finite arc weight. The generator emits weights <= 100;
@@ -24,11 +24,6 @@ Weight = int | float
 
 class MalformedGraphError(ValueError):
     """An arc list violates the graph invariants."""
-
-
-def ext_add(a: Weight, b: Weight) -> Weight:
-    """Min-plus scalar combination: plain addition, with INF absorbing."""
-    return a + b
 
 
 def max_arcs(n: int) -> int:
@@ -50,9 +45,9 @@ class Arc(NamedTuple):
 class Graph:
     """Node count plus a duplicate-free arc list.
 
-    Invariants (enforced by build_cost_matrix and by the file reader, not
-    here): n >= 2; 1 <= i, j <= n; i != j; no repeated ordered pair;
-    0 <= w <= MAX_WEIGHT.
+    Invariants, checked by validate_graph (which build_cost_matrix and the
+    file reader both call), not here: n >= 2; 1 <= i, j <= n; i != j; no
+    repeated ordered pair; w an int with 0 <= w <= MAX_WEIGHT.
     """
 
     n: int
@@ -79,29 +74,42 @@ class CostMatrix:
         return self.rows[i - 1][j - 1]
 
 
-def build_cost_matrix(g: Graph) -> CostMatrix:
-    """Expand an arc list into its dense cost matrix.
+def validate_graph(g: Graph) -> None:
+    """Raise MalformedGraphError on the first broken graph invariant.
 
-    Raises MalformedGraphError on loops, duplicate ordered pairs, node
-    indices outside 1..n, or weights that are not ints in [0, MAX_WEIGHT].
+    Arc errors start with "arc k" (1-based position in g.arcs) so callers
+    can prefix their own context. Needs memory proportional to m, not n*n.
     """
     n = g.n
     if n < 2:
         raise MalformedGraphError(f"node count must be at least 2, got {n}")
+    seen: set[int] = set()  # i*n + j, one int per ordered pair once i, j are in range
+    for k, (i, j, w) in enumerate(g.arcs, start=1):
+        if not (1 <= i <= n and 1 <= j <= n):
+            reason = f"node index out of range for n={n}"
+        elif i == j:
+            reason = "loop arcs are not allowed"
+        elif type(w) is not int or not 0 <= w <= MAX_WEIGHT:
+            reason = f"weight must be an integer in [0, {MAX_WEIGHT}]"
+        elif (key := i * n + j) in seen:
+            reason = f"duplicate ordered pair ({i}, {j})"
+        else:
+            seen.add(key)
+            continue
+        raise MalformedGraphError(f"arc {k} ({i}, {j}, {w}): {reason}")
+
+
+def build_cost_matrix(g: Graph) -> CostMatrix:
+    """Expand an arc list into its dense cost matrix.
+
+    Raises MalformedGraphError, via validate_graph, on any graph that
+    breaks the Graph invariants.
+    """
+    validate_graph(g)
+    n = g.n
     rows: list[list[Weight]] = [[INF] * n for _ in range(n)]
     for k in range(n):
         rows[k][k] = 0
-    for arc in g.arcs:
-        i, j, w = arc
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise MalformedGraphError(f"arc {arc}: node index out of range for n={n}")
-        if i == j:
-            raise MalformedGraphError(f"arc {arc}: loop arcs are not allowed")
-        if type(w) is not int or not 0 <= w <= MAX_WEIGHT:
-            raise MalformedGraphError(
-                f"arc {arc}: weight must be an integer in [0, {MAX_WEIGHT}]"
-            )
-        if rows[i - 1][j - 1] != INF:
-            raise MalformedGraphError(f"arc {arc}: duplicate ordered pair ({i}, {j})")
+    for i, j, w in g.arcs:
         rows[i - 1][j - 1] = w
     return CostMatrix(n, rows)

@@ -1,7 +1,7 @@
 """Reading and writing graph-set files (BKSET format).
 
 The format is line-oriented UTF-8 text with LF endings, single-space
-separators, and decimal integers:
+separators, and canonical decimal integers (the form ``str(int)`` gives):
 
     BKSET 1
     SPEC n1 n2 m1 m2 seed weight_max
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .generator import GenSpec
-from .graph import MAX_WEIGHT, Arc, Graph
+from .graph import Arc, Graph, MalformedGraphError, validate_graph
 
 MAGIC = "BKSET"
 VERSION = 1
@@ -49,10 +49,17 @@ def write_set(graphs: Sequence[Graph], spec: GenSpec, dest) -> None:
 
 
 def _as_int(token: str, what: str, where: str) -> int:
+    """Parse a canonical decimal integer, the only form write_set emits, so
+    that re-writing what was read reproduces the file byte for byte."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        raise CorruptFileError(f"{where}: {what} is not an integer: {token!r}") from None
+        value = None
+    if value is None or str(value) != token:
+        raise CorruptFileError(
+            f"{where}: {what} is not a canonical decimal integer: {token!r}"
+        )
+    return value
 
 
 def read_set(source) -> tuple[GenSpec, list[Graph]]:
@@ -108,11 +115,8 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
             raise CorruptFileError(f"{where}: malformed record header {lines[pos - 1]!r}")
         n = _as_int(g_tok[1], "node count", where)
         m = _as_int(g_tok[2], "arc count", where)
-        if n < 2:
-            raise CorruptFileError(f"{where}: node count must be at least 2, got {n}")
         if m < 0:
             raise CorruptFileError(f"{where}: negative arc count {m}")
-        seen: set[tuple[int, int]] = set()
         arcs: list[Arc] = []
         for ai in range(1, m + 1):
             at = f"{where}, arc {ai}"
@@ -122,17 +126,13 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
             i = _as_int(tok[0], "origin node", at)
             j = _as_int(tok[1], "destination node", at)
             w = _as_int(tok[2], "weight", at)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise CorruptFileError(f"{at}: node index out of range for n={n}")
-            if i == j:
-                raise CorruptFileError(f"{at}: loop arc ({i}, {j})")
-            if not 0 <= w <= MAX_WEIGHT:
-                raise CorruptFileError(f"{at}: weight out of range: {w}")
-            if (i, j) in seen:
-                raise CorruptFileError(f"{at}: duplicate ordered pair ({i}, {j})")
-            seen.add((i, j))
             arcs.append(Arc(i, j, w))
-        graphs.append(Graph(n, tuple(arcs)))
+        g = Graph(n, tuple(arcs))
+        try:
+            validate_graph(g)
+        except MalformedGraphError as exc:
+            raise CorruptFileError(f"{where}, {exc}") from None
+        graphs.append(g)
 
     if pos != len(lines):
         raise CorruptFileError(f"trailing data after the last record (line {pos + 1})")

@@ -1,18 +1,19 @@
 """Dense min-plus sweep solvers for the single-target shortest-route problem.
 
-Both solvers repeat full passes of
+One engine, ``_solve``, repeats passes of
 
     v[i] <- min over j of (a[i][j] + v[j])
 
 on the dense cost matrix, starting from the vector that is 0 at the
-target (node n) and INF everywhere else, and stop as soon as a pass
-leaves the vector unchanged. They differ only in how a pass reads v:
+target (node n) and INF everywhere else, and stops as soon as a pass
+leaves the vector unchanged. A pass function decides only how a pass
+reads v; it returns the new vector, or None when nothing changed:
 
-* ``bk_classic`` recomputes every row from the previous pass's vector
-  (simultaneous, Jacobi-style order);
-* ``bk_accelerated`` walks rows n-1 down to 1 updating in place, so each
-  row already sees the values refreshed earlier in the same pass
-  (Gauss-Seidel-style order), which can only shorten the descent.
+* ``_simultaneous`` (``bk_classic``) recomputes every row from the
+  previous pass's vector (Jacobi order);
+* ``_bottom_up`` (``bk_accelerated``) walks rows n-1 down to 1 updating
+  in place, so each row already sees the values refreshed earlier in the
+  same pass (Gauss-Seidel order), which can only shorten the descent.
 
 Counting convention used by every counter downstream: ``sweeps`` is the
 number of executed passes, including the final confirming pass (the one
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import INF, CostMatrix, Weight
+
+Rows = list[list[Weight]]
 
 
 class ConvergenceError(RuntimeError):
@@ -50,9 +53,12 @@ class SolveResult:
 
     distances: tuple[Weight, ...]
     sweeps: int
-    relaxations: int
-    converged: bool
     method: str
+
+    @property
+    def relaxations(self) -> int:
+        n = len(self.distances)
+        return self.sweeps * (n - 1) * n
 
 
 @dataclass(frozen=True)
@@ -63,103 +69,101 @@ class Route:
     cost: int
 
 
-def bk_classic(
-    a: CostMatrix,
-    *,
-    checked: bool = False,
-    trace: list[tuple[Weight, ...]] | None = None,
-) -> SolveResult:
-    """Solve by simultaneous (Jacobi-order) sweeps.
+def _simultaneous(rows: Rows, v: list[Weight]) -> list[Weight] | None:
+    new: list[Weight] = [min(map(add, row, v)) for row in rows[:-1]]
+    new.append(0)
+    return None if new == v else new
 
-    ``checked`` enables per-sweep monotonicity assertions; ``trace``, when
-    given a list, receives the vector snapshot after every executed sweep.
-    """
+
+def _bottom_up(rows: Rows, v: list[Weight]) -> list[Weight] | None:
+    changed = False
+    for i in range(len(v) - 2, -1, -1):
+        b = min(map(add, rows[i], v))
+        if b != v[i]:
+            v[i] = b
+            changed = True
+    return v if changed else None
+
+
+def _solve(
+    a: CostMatrix,
+    sweep_pass: Callable[[Rows, list[Weight]], list[Weight] | None],
+    method: str,
+    trace: list[tuple[Weight, ...]] | None,
+) -> SolveResult:
     n = a.n
-    body = a.rows[:-1]
+    rows = a.rows
     v: list[Weight] = [INF] * n
     v[n - 1] = 0
     for sweep in range(1, n + 1):
-        new: list[Weight] = [min(map(add, row, v)) for row in body]
-        new.append(0)
-        if checked:
-            assert all(x <= y for x, y in zip(new, v)), "entry increased during sweep"
+        new = sweep_pass(rows, v)
         if trace is not None:
-            trace.append(tuple(new))
-        if new == v:
-            return SolveResult(tuple(v), sweep, sweep * (n - 1) * n, True, "classic")
+            trace.append(tuple(v if new is None else new))
+        if new is None:
+            return SolveResult(tuple(v), sweep, method)
         v = new
     raise ConvergenceError(
         f"no fixed point within {n} sweeps; the matrix violates its invariants"
     )
 
 
+def bk_classic(
+    a: CostMatrix, *, trace: list[tuple[Weight, ...]] | None = None
+) -> SolveResult:
+    """Solve by simultaneous (Jacobi-order) sweeps.
+
+    ``trace``, when given a list, receives the vector snapshot after every
+    executed sweep.
+    """
+    return _solve(a, _simultaneous, "classic", trace)
+
+
 def bk_accelerated(
-    a: CostMatrix,
-    *,
-    checked: bool = False,
-    trace: list[tuple[Weight, ...]] | None = None,
+    a: CostMatrix, *, trace: list[tuple[Weight, ...]] | None = None
 ) -> SolveResult:
     """Solve by bottom-up in-place (Gauss-Seidel-order) sweeps.
 
     Returns the same distances as bk_classic, in at most as many sweeps.
     """
-    n = a.n
-    rows = a.rows
-    v: list[Weight] = [INF] * n
-    v[n - 1] = 0
-    for sweep in range(1, n + 1):
-        changed = False
-        for i in range(n - 2, -1, -1):
-            b = min(map(add, rows[i], v))
-            if checked:
-                assert b <= v[i], "entry increased during sweep"
-            if b != v[i]:
-                v[i] = b
-                changed = True
-        if trace is not None:
-            trace.append(tuple(v))
-        if not changed:
-            return SolveResult(
-                tuple(v), sweep, sweep * (n - 1) * n, True, "accelerated"
-            )
-    raise ConvergenceError(
-        f"no fixed point within {n} sweeps; the matrix violates its invariants"
-    )
+    return _solve(a, _bottom_up, "accelerated", trace)
 
 
 def extract_route(a: CostMatrix, distances: Sequence[Weight]) -> Route:
     """Read one optimal route from node 1 off a solved distance vector.
 
-    From each node i the successor is the smallest j not already on the
-    route whose arc satisfies distances[i] == a[i][j] + distances[j], so
-    ties resolve deterministically. Because every hop satisfies that
-    relation, the summed cost telescopes to distances[0] exactly.
+    An arc i -> j is tight when distances[i] == a[i][j] + distances[j].
+    The route is found by a depth-first walk over tight arcs that tries
+    successors smallest j first, never enters a node it has tried before,
+    and backs up from a node whose tight arcs are used up. Backing up is
+    needed only when zero-weight cycles make tight arcs lead away from the
+    target; with positive weights the first tight arc always continues,
+    so the walk never backtracks. Because every hop is tight, the summed
+    cost telescopes to distances[0] exactly.
     """
     n = a.n
     if distances[0] == INF:
         raise NoRouteError("node 1 cannot reach the target")
     rows = a.rows
-    nodes = [1]
-    visited = {1}
-    cost = 0
-    i = 1
-    while i != n:
-        di = distances[i - 1]
-        row = rows[i - 1]
-        nxt = 0
-        for j in range(1, n + 1):
-            if j in visited:
-                continue
-            w = row[j - 1]
-            if w != INF and w + distances[j - 1] == di:
-                nxt = j
-                break
-        if nxt == 0:
-            raise ValueError(
-                f"no consistent successor from node {i}; vector is not a fixed point"
-            )
-        cost += row[nxt - 1]
-        nodes.append(nxt)
-        visited.add(nxt)
-        i = nxt
-    return Route(tuple(nodes), cost)
+    tried = [False] * n
+    tried[0] = True
+    path = [0]  # 0-based nodes from node 1
+    resume = [0]  # per path entry, the first column not yet tried
+    while path[-1] != n - 1:
+        row, di = rows[path[-1]], distances[path[-1]]
+        j = resume[-1]
+        while j < n and (tried[j] or row[j] + distances[j] != di):
+            j += 1
+        if j == n:
+            path.pop()
+            resume.pop()
+            if not path:
+                raise ValueError(
+                    "no consistent successor from node 1; vector is not a fixed point"
+                )
+            continue
+        resume[-1] = j + 1
+        tried[j] = True
+        path.append(j)
+        resume.append(0)
+    cost = sum(rows[i][j] for i, j in zip(path, path[1:]))
+    return Route(tuple(k + 1 for k in path), cost)

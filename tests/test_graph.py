@@ -11,35 +11,9 @@ from bkroute import (
     Graph,
     MalformedGraphError,
     build_cost_matrix,
-    ext_add,
     max_arcs,
 )
 from helpers import CHAIN, graphs
-
-finite = st.integers(0, 10**6)
-weights = st.one_of(finite, st.just(INF))
-
-
-def test_ext_add_finite():
-    assert ext_add(3, 4) == 7
-
-
-def test_ext_add_absorbs():
-    assert ext_add(INF, 5) == INF
-    assert ext_add(0, INF) == INF
-    assert ext_add(INF, INF) == INF
-
-
-@given(weights, weights, weights)
-def test_ext_add_associative_and_commutative(a, b, c):
-    assert ext_add(ext_add(a, b), c) == ext_add(a, ext_add(b, c))
-    assert ext_add(a, b) == ext_add(b, a)
-
-
-@given(weights)
-def test_ext_add_zero_is_identity(a):
-    assert ext_add(a, 0) == a
-
 
 def test_max_arcs_values():
     assert max_arcs(2) == 2

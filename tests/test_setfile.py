@@ -122,8 +122,18 @@ HEADER = "BKSET 1\nSPEC 2 4 1 5 7 100\n"
         ("COUNT 1\nG 2 1\n1 2 7\nextra\n", "trailing"),
         ("COUNT x\n", "integer"),
         ("NOPE 1\n", "COUNT"),
+        ("COUNT 1\nG 2 1\n1 2 +7\n", "graph 1, arc 1: weight"),
+        ("COUNT 1\nG 2 1\n01 2 7\n", "graph 1, arc 1: origin node"),
+        ("COUNT 1\nG 2 1\n1 2 1_5\n", "canonical"),
+        ("COUNT 1\nG 2 1\n1 2 -0\n", "canonical"),
+        ("COUNT 1\nG 2 1\n1 \u0662 7\n", "destination node"),
+        ("COUNT 1\nG 2 01\n1 2 7\n", "arc count"),
+        ("COUNT 1\nG 3 2\n1 2 7\n2 2 4\n", "graph 1, arc 2 .*loop"),
+        # a body that starts with the magic replaces HEADER
+        ("BKSET 1\nSPEC 2 4 1 5 +7 100\nCOUNT 0\n", "SPEC line: seed"),
     ],
 )
 def test_corrupt_files_name_the_offending_record(tmp_path, body, msg):
+    text = body if body.startswith("BKSET") else HEADER + body
     with pytest.raises(CorruptFileError, match=msg):
-        read_set(_write(tmp_path, HEADER + body))
+        read_set(_write(tmp_path, text))

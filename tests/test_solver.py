@@ -28,7 +28,6 @@ class TestChainExample:
         assert r.distances == (3, 2, 1, 0)
         assert r.sweeps == 4  # three productive passes plus the confirming one
         assert r.relaxations == 48  # 4 sweeps * 3 rows * 4 terms
-        assert r.converged
         assert r.method == "classic"
 
     def test_classic_sweep_sequence(self):
@@ -41,7 +40,6 @@ class TestChainExample:
         assert r.distances == (3, 2, 1, 0)
         assert r.sweeps == 2  # one productive pass plus the confirming one
         assert r.relaxations == 24
-        assert r.converged
         assert r.method == "accelerated"
 
     def test_accelerated_sweep_sequence(self):
@@ -95,6 +93,16 @@ def test_route_tie_break_prefers_smallest_successor():
     assert extract_route(mat, d).nodes == (1, 2, 3)
 
 
+def test_route_backs_out_of_a_zero_weight_cycle():
+    # 1 -> 2 is tight (0 + 5 == 5) but leads only back to node 1
+    mat = build_cost_matrix(Graph(3, [(1, 2, 0), (2, 1, 0), (1, 3, 5)]))
+    d = bk_classic(mat).distances
+    assert d == (5, 5, 0)
+    route = extract_route(mat, d)
+    assert route.nodes == (1, 3)
+    assert route.cost == 5
+
+
 def test_route_requires_reachability():
     mat = build_cost_matrix(Graph(2, []))
     with pytest.raises(NoRouteError):
@@ -117,8 +125,8 @@ def test_divergent_matrix_is_detected():
 @given(graphs(min_w=0))
 def test_methods_and_oracle_agree(g):
     mat = build_cost_matrix(g)
-    c = bk_classic(mat, checked=True)
-    a = bk_accelerated(mat, checked=True)
+    c = bk_classic(mat)
+    a = bk_accelerated(mat)
     assert c.distances == a.distances == oracle_distances(g)
 
 
@@ -157,15 +165,20 @@ def test_sweep_k_covers_routes_of_k_arcs(g):
         assert vec == bounded_distances(g, k)
 
 
-@given(graphs())
+@given(graphs(min_w=0))
 def test_descent_is_monotone(g):
-    trace = []
-    bk_classic(build_cost_matrix(g), trace=trace)
-    for prev, cur in zip(trace, trace[1:]):
-        assert all(c <= p for c, p in zip(cur, prev))
+    # Every row is written at most once per pass, so comparing consecutive
+    # snapshots also catches an entry that rose inside a pass.
+    mat = build_cost_matrix(g)
+    for solve in (bk_classic, bk_accelerated):
+        trace = []
+        solve(mat, trace=trace)
+        start = tuple([INF] * (g.n - 1) + [0])
+        for prev, cur in zip([start] + trace, trace):
+            assert all(c <= p for c, p in zip(cur, prev))
 
 
-@given(graphs())
+@given(graphs(min_w=0))
 def test_route_is_consistent_with_distances(g):
     mat = build_cost_matrix(g)
     d = bk_classic(mat).distances
