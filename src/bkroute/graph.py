@@ -1,4 +1,4 @@
-"""Directed graphs with integer arc weights and their dense cost matrices.
+"""Directed graphs with integer arc weights and their cost matrices.
 
 Node indices are 1-based wherever a human sees them (arc lists, files,
 printed routes); in-memory tables are ordinary 0-based lists.
@@ -7,8 +7,9 @@ printed routes); in-memory tables are ordinary 0-based lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 #: Absent-arc marker. IEEE infinity saturates under addition, so no sum of
 #: weights along a sweep can turn it into a finite value.
@@ -54,20 +55,48 @@ class Graph:
     arcs: tuple[Arc, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(Arc(*a) for a in self.arcs))
+        arcs = tuple(a if isinstance(a, Arc) else Arc(*a) for a in self.arcs)
+        object.__setattr__(self, "arcs", arcs)
 
     @property
     def m(self) -> int:
         return len(self.arcs)
 
 
+#: One row of the sweep view: the 0-based row index i, a gather that reads
+#: v at the row's finite columns (the diagonal included when finite), and
+#: the weights a[i][j] at those columns, in the same order.
+RowTerms = tuple[int, Callable[[Sequence[Weight]], Sequence[Weight]], tuple[Weight, ...]]
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Dense extended-weight table: 0 on the diagonal, the arc weight where an
-    arc exists, INF everywhere else. `rows` is 0-based and must not be mutated."""
+    arc exists, INF everywhere else. `rows` is 0-based.
+
+    `sparse_rows` is derived from `rows` at construction: one RowTerms entry,
+    in row order, for each non-target row with a finite off-diagonal entry.
+    The other rows stay INF in every sweep, so they are left out, and the
+    INF terms of a row can never win its minimum, so they are left out too.
+    Because the view is built once, `rows` must never be mutated.
+    """
 
     n: int
     rows: list[list[Weight]]
+    sparse_rows: tuple[RowTerms, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        view: list[RowTerms] = []
+        for i, row in enumerate(self.rows[:-1]):
+            cols = [j for j, x in enumerate(row) if x != INF]
+            if cols == [i] or not cols:
+                continue
+            if len(cols) > 1:
+                gather = itemgetter(*cols)
+            else:  # itemgetter of one index returns a scalar; a slice keeps a sequence
+                gather = itemgetter(slice(cols[0], cols[0] + 1))
+            view.append((i, gather, tuple(gather(row))))
+        object.__setattr__(self, "sparse_rows", tuple(view))
 
     def entry(self, i: int, j: int) -> Weight:
         """1-based accessor, mainly for tests and debugging."""

@@ -15,7 +15,7 @@ what was read reproduces the file byte for byte.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .generator import GenSpec
 from .graph import Arc, Graph, MalformedGraphError, validate_graph
@@ -60,6 +60,19 @@ def _as_int(token: str, what: str, where: str) -> int:
             f"{where}: {what} is not a canonical decimal integer: {token!r}"
         )
     return value
+
+
+def _raise_arc_error(line: str | None, at: str) -> NoReturn:
+    """Raise the CorruptFileError for an arc line (None past the end of the
+    file) that is not three canonical decimal integers."""
+    if line is None:
+        raise CorruptFileError(f"unexpected end of file while reading {at}")
+    tok = line.split(" ")
+    if len(tok) != 3:
+        raise CorruptFileError(f"{at}: expected 'i j w', got {line!r}")
+    for token, what in zip(tok, ("origin node", "destination node", "weight")):
+        _as_int(token, what, at)
+    raise AssertionError(f"{at}: arc line {line!r} is well formed")
 
 
 def read_set(source) -> tuple[GenSpec, list[Graph]]:
@@ -119,14 +132,16 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
             raise CorruptFileError(f"{where}: negative arc count {m}")
         arcs: list[Arc] = []
         for ai in range(1, m + 1):
-            at = f"{where}, arc {ai}"
-            tok = next_line(at).split(" ")
-            if len(tok) != 3:
-                raise CorruptFileError(f"{at}: expected 'i j w', got {lines[pos - 1]!r}")
-            i = _as_int(tok[0], "origin node", at)
-            j = _as_int(tok[1], "destination node", at)
-            w = _as_int(tok[2], "weight", at)
-            arcs.append(Arc(i, j, w))
+            line = lines[pos] if pos < len(lines) else None
+            try:
+                arc = Arc(*map(int, line.split(" ")))
+            except (AttributeError, TypeError, ValueError):  # no line, not 3 tokens, not ints
+                arc = None
+            # three canonical tokens are exactly what re-formats to the line
+            if arc is None or f"{arc.i} {arc.j} {arc.w}" != line:
+                _raise_arc_error(line, f"{where}, arc {ai}")
+            pos += 1
+            arcs.append(arc)
         g = Graph(n, tuple(arcs))
         try:
             validate_graph(g)

@@ -1,13 +1,16 @@
-"""Dense min-plus sweep solvers for the single-target shortest-route problem.
+"""Min-plus sweep solvers for the single-target shortest-route problem.
 
 One engine, ``_solve``, repeats passes of
 
     v[i] <- min over j of (a[i][j] + v[j])
 
-on the dense cost matrix, starting from the vector that is 0 at the
-target (node n) and INF everywhere else, and stops as soon as a pass
-leaves the vector unchanged. A pass function decides only how a pass
-reads v; it returns the new vector, or None when nothing changed:
+starting from the vector that is 0 at the target (node n) and INF
+everywhere else, and stops as soon as a pass leaves the vector unchanged.
+A pass reads the matrix through ``CostMatrix.sparse_rows``, which holds
+for each row only its finite entries, diagonal included: an INF term can
+never win the minimum, and a row with no arc stays INF, so the pass gets
+the dense row's result from fewer terms. A pass function decides only how
+a pass reads v; it returns the new vector, or None when nothing changed:
 
 * ``_simultaneous`` (``bk_classic``) recomputes every row from the
   previous pass's vector (Jacobi order);
@@ -17,11 +20,12 @@ reads v; it returns the new vector, or None when nothing changed:
 
 Counting convention used by every counter downstream: ``sweeps`` is the
 number of executed passes, including the final confirming pass (the one
-that detects no change); ``relaxations`` is sweeps * (n-1) * n, since a
-pass evaluates all n candidate terms for each of the n-1 non-target
-rows. The diagonal zero makes row i's own value one of its candidates,
-so entries never increase, and with non-negative weights at most n
-passes are ever needed (n-1 productive plus one confirming).
+that detects no change); ``relaxations`` is the paper's nominal
+sweeps * (n-1) * n, the n candidate terms of each of the n-1 non-target
+rows per pass, not the number of finite terms a pass evaluates. The
+diagonal zero makes row i's own value one of its candidates, so entries
+never increase, and with non-negative weights at most n passes are ever
+needed (n-1 productive plus one confirming).
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Sequence
 
-from .graph import INF, CostMatrix, Weight
+from .graph import INF, CostMatrix, RowTerms, Weight
 
-Rows = list[list[Weight]]
+View = tuple[RowTerms, ...]
 
 
 class ConvergenceError(RuntimeError):
@@ -69,16 +73,17 @@ class Route:
     cost: int
 
 
-def _simultaneous(rows: Rows, v: list[Weight]) -> list[Weight] | None:
-    new: list[Weight] = [min(map(add, row, v)) for row in rows[:-1]]
-    new.append(0)
+def _simultaneous(view: View, v: list[Weight]) -> list[Weight] | None:
+    new = v[:]
+    for i, gather, weights in view:
+        new[i] = min(map(add, weights, gather(v)))
     return None if new == v else new
 
 
-def _bottom_up(rows: Rows, v: list[Weight]) -> list[Weight] | None:
+def _bottom_up(view: View, v: list[Weight]) -> list[Weight] | None:
     changed = False
-    for i in range(len(v) - 2, -1, -1):
-        b = min(map(add, rows[i], v))
+    for i, gather, weights in reversed(view):
+        b = min(map(add, weights, gather(v)))
         if b != v[i]:
             v[i] = b
             changed = True
@@ -87,16 +92,16 @@ def _bottom_up(rows: Rows, v: list[Weight]) -> list[Weight] | None:
 
 def _solve(
     a: CostMatrix,
-    sweep_pass: Callable[[Rows, list[Weight]], list[Weight] | None],
+    sweep_pass: Callable[[View, list[Weight]], list[Weight] | None],
     method: str,
     trace: list[tuple[Weight, ...]] | None,
 ) -> SolveResult:
     n = a.n
-    rows = a.rows
+    view = a.sparse_rows
     v: list[Weight] = [INF] * n
     v[n - 1] = 0
     for sweep in range(1, n + 1):
-        new = sweep_pass(rows, v)
+        new = sweep_pass(view, v)
         if trace is not None:
             trace.append(tuple(v if new is None else new))
         if new is None:

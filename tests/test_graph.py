@@ -31,6 +31,11 @@ def test_graph_normalizes_arcs_to_named_tuples():
     g = Graph(3, [(1, 2, 5)])
     assert g.arcs == (Arc(1, 2, 5),)
     assert g.m == 1
+    arc = Arc(2, 3, 4)
+    g = Graph(3, (a for a in [arc, [1, 3, 6]]))  # any iterable of triples
+    assert g.arcs == (arc, Arc(1, 3, 6))
+    assert type(g.arcs[1]) is Arc
+    assert g.arcs[0] is arc  # an Arc is kept, not re-wrapped
 
 
 def test_matrix_without_arcs():
@@ -46,6 +51,15 @@ def test_matrix_single_arc():
     assert mat.entry(2, 1) == INF
     assert mat.entry(1, 1) == 0
     assert mat.entry(2, 2) == 0
+
+
+def test_sparse_rows_hold_the_finite_entries_of_each_row():
+    mat = build_cost_matrix(CHAIN)
+    v = [30, 20, 10, 0]
+    view = [(i, tuple(gather(v)), weights) for i, gather, weights in mat.sparse_rows]
+    # the target row is left out; each row keeps its diagonal and its arcs
+    assert view == [(0, (30, 20, 0), (0, 1, 10)), (1, (20, 10), (0, 1)), (2, (10, 0), (0, 1))]
+    assert build_cost_matrix(Graph(3, [(2, 3, 1)])).sparse_rows[0][0] == 1  # arcless row 0 left out
 
 
 def test_matrix_chain():

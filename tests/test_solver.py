@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+from operator import add
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bkroute import (
     INF,
+    MAX_WEIGHT,
+    Arc,
     ConvergenceError,
+    GenSpec,
     Graph,
     NoRouteError,
     bk_accelerated,
@@ -14,6 +20,7 @@ from bkroute import (
     brute_force_distance,
     build_cost_matrix,
     extract_route,
+    generate_set,
     oracle_distances,
 )
 from bkroute.graph import CostMatrix
@@ -120,6 +127,86 @@ def test_divergent_matrix_is_detected():
     for solve in (bk_classic, bk_accelerated):
         with pytest.raises(ConvergenceError, match="fixed point"):
             solve(CostMatrix(3, [list(r) for r in rows]))
+
+
+def dense_reference(a: CostMatrix, bottom_up: bool):
+    """The dense passes, every row evaluating all n terms a[i][j] + v[j].
+
+    Returns (distances, sweeps, trace); distances is None when no fixed
+    point arrives within n sweeps, where the solvers raise instead.
+    """
+    n, rows = a.n, a.rows
+    v = [INF] * n
+    v[n - 1] = 0
+    trace = []
+    for sweep in range(1, n + 1):
+        if bottom_up:
+            new = v[:]
+            for i in range(n - 2, -1, -1):
+                new[i] = min(map(add, rows[i], new))
+        else:
+            new = [min(map(add, row, v)) for row in rows[:-1]] + [0]
+        trace.append(tuple(new))
+        if new == v:
+            return tuple(v), sweep, trace
+        v = new
+    return None, n, trace
+
+
+def assert_matches_dense_reference(mat: CostMatrix) -> None:
+    for solve, bottom_up in ((bk_classic, False), (bk_accelerated, True)):
+        distances, sweeps, expected = dense_reference(mat, bottom_up)
+        trace = []
+        if distances is None:
+            with pytest.raises(ConvergenceError):
+                solve(mat, trace=trace)
+        else:
+            r = solve(mat, trace=trace)
+            assert (r.distances, r.sweeps) == (distances, sweeps)
+        assert trace == expected
+
+
+@st.composite
+def complete_graphs(draw, max_n: int = 8):
+    n = draw(st.integers(2, max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return Graph(n, [Arc(i, j, draw(st.integers(0, 100))) for i, j in pairs])
+
+
+@st.composite
+def graphs_with_sinks(draw):
+    g = draw(graphs(min_w=0))
+    sinks = draw(st.sets(st.integers(1, g.n - 1), min_size=1))
+    return Graph(g.n, [a for a in g.arcs if a.i not in sinks])
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        graphs(min_w=0),
+        graphs(min_w=MAX_WEIGHT - 2, max_w=MAX_WEIGHT),
+        complete_graphs(),
+        graphs_with_sinks(),
+        st.sampled_from(generate_set(GenSpec(50, 90, 100, 400, 12, 7, 100))),
+    ],
+    ids=["min_w=0", "near-MAX_WEIGHT", "complete", "sinks", "sparse-route-shaped"],
+)
+@given(data=st.data())
+def test_sparse_view_matches_dense_reference(strategy, data):
+    assert_matches_dense_reference(build_cost_matrix(data.draw(strategy)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[INF, 4, INF], [INF, INF, 2], [INF, INF, 0]],  # only off-diagonal entries
+        [[0, INF, INF], [INF, 0, 5], [INF, INF, 0]],  # row 1 holds only its diagonal
+        [[0, -5, 0], [1, 0, 0], [INF, INF, 0]],  # negative cycle: no fixed point
+    ],
+    ids=["diagonal-INF", "diagonal-only", "negative-cycle"],
+)
+def test_sparse_view_matches_dense_reference_on_edge_rows(rows):
+    assert_matches_dense_reference(CostMatrix(3, rows))
 
 
 @given(graphs(min_w=0))
