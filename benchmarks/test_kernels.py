@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the matrix build and the two sweep kernels.
+"""Micro-benchmarks of graph construction (where the arc rules are
+checked), the matrix build and the two sweep kernels.
 
 Run from the root of a source checkout:
 
@@ -14,7 +15,14 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from bkroute import RngStream, bk_accelerated, bk_classic, build_cost_matrix, draw_graph
+from bkroute import (
+    Graph,
+    RngStream,
+    bk_accelerated,
+    bk_classic,
+    build_cost_matrix,
+    draw_graph,
+)
 
 # One sparse-route-shaped graph (n 50..90, m 100..400, about 4 arcs per
 # row) and the densest table1 cell, n=90 with m=7800.
@@ -27,6 +35,10 @@ GRAPHS = {
 @pytest.fixture(params=sorted(GRAPHS))
 def graph(request):
     return GRAPHS[request.param]
+
+
+def test_graph_construction(benchmark, graph):
+    benchmark(Graph, graph.n, graph.arcs)
 
 
 def test_build_cost_matrix(benchmark, graph):

@@ -88,7 +88,7 @@ class TimingPolicy:
 
     repeats: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
@@ -150,22 +150,17 @@ def time_solver(
         raise ValueError("graph set is empty")
     if method not in _SOLVERS:
         raise ValueError(f"unknown method {method!r}")
-    policy.validate()
     solve = _SOLVERS[method]
     mats = [build_cost_matrix(g) for g in graphs]
     best_ns: int | None = None
-    results = []
     for _ in range(policy.repeats):
+        results = []
         t0 = time.perf_counter_ns()
         try:
-            results = [solve(mat) for mat in mats]
-        except ConvergenceError:
             for gi, mat in enumerate(mats, start=1):
-                try:
-                    solve(mat)
-                except ConvergenceError as exc:
-                    raise ConvergenceError(f"graph {gi}: {exc}") from exc
-            raise
+                results.append(solve(mat))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"graph {gi}: {exc}") from exc
         dt = time.perf_counter_ns() - t0
         best_ns = dt if best_ns is None else min(best_ns, dt)
     return MethodTiming(
@@ -221,7 +216,6 @@ def run_grid(
         raise ValueError(f"unknown grid {grid!r}; expected one of {sorted(GRIDS)}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    policy.validate()
     rows = []
     for ci, ((n1, n2), (m1, m2)) in enumerate(GRIDS[grid]):
         spec = GenSpec(n1, n2, m1, m2, count, derive_cell_seed(seed, ci))

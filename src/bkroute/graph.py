@@ -46,17 +46,42 @@ class Arc(NamedTuple):
 class Graph:
     """Node count plus a duplicate-free arc list.
 
-    Invariants, checked by validate_graph (which build_cost_matrix and the
-    file reader both call), not here: n >= 2; 1 <= i, j <= n; i != j; no
-    repeated ordered pair; w an int with 0 <= w <= MAX_WEIGHT.
+    The invariants are enforced here, at construction, so every Graph that
+    exists holds them: n >= 2; 1 <= i, j <= n; i != j; no repeated ordered
+    pair; w an int with 0 <= w <= MAX_WEIGHT. The first broken one raises
+    MalformedGraphError; arc errors start with "arc k" (1-based position in
+    arcs) so callers can prefix their own context. Arcs may be given as any
+    iterable of triples; an Arc is kept as it is. The duplicate check needs
+    memory proportional to m, not n*n.
     """
 
     n: int
     arcs: tuple[Arc, ...] = ()
 
     def __post_init__(self) -> None:
-        arcs = tuple(a if isinstance(a, Arc) else Arc(*a) for a in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
+        n = self.n
+        if n < 2:
+            raise MalformedGraphError(f"node count must be at least 2, got {n}")
+        arcs: list[Arc] = []
+        seen: set[int] = set()  # i*n + j, one int per ordered pair once i, j are in range
+        for k, a in enumerate(self.arcs, start=1):
+            if not isinstance(a, Arc):
+                a = Arc(*a)
+            i, j, w = a
+            if not (1 <= i <= n and 1 <= j <= n):
+                reason = f"node index out of range for n={n}"
+            elif i == j:
+                reason = "loop arcs are not allowed"
+            elif type(w) is not int or not 0 <= w <= MAX_WEIGHT:
+                reason = f"weight must be an integer in [0, {MAX_WEIGHT}]"
+            elif (key := i * n + j) in seen:
+                reason = f"duplicate ordered pair ({i}, {j})"
+            else:
+                seen.add(key)
+                arcs.append(a)
+                continue
+            raise MalformedGraphError(f"arc {k} ({i}, {j}, {w}): {reason}")
+        object.__setattr__(self, "arcs", tuple(arcs))
 
     @property
     def m(self) -> int:
@@ -103,38 +128,11 @@ class CostMatrix:
         return self.rows[i - 1][j - 1]
 
 
-def validate_graph(g: Graph) -> None:
-    """Raise MalformedGraphError on the first broken graph invariant.
-
-    Arc errors start with "arc k" (1-based position in g.arcs) so callers
-    can prefix their own context. Needs memory proportional to m, not n*n.
-    """
-    n = g.n
-    if n < 2:
-        raise MalformedGraphError(f"node count must be at least 2, got {n}")
-    seen: set[int] = set()  # i*n + j, one int per ordered pair once i, j are in range
-    for k, (i, j, w) in enumerate(g.arcs, start=1):
-        if not (1 <= i <= n and 1 <= j <= n):
-            reason = f"node index out of range for n={n}"
-        elif i == j:
-            reason = "loop arcs are not allowed"
-        elif type(w) is not int or not 0 <= w <= MAX_WEIGHT:
-            reason = f"weight must be an integer in [0, {MAX_WEIGHT}]"
-        elif (key := i * n + j) in seen:
-            reason = f"duplicate ordered pair ({i}, {j})"
-        else:
-            seen.add(key)
-            continue
-        raise MalformedGraphError(f"arc {k} ({i}, {j}, {w}): {reason}")
-
-
 def build_cost_matrix(g: Graph) -> CostMatrix:
     """Expand an arc list into its dense cost matrix.
 
-    Raises MalformedGraphError, via validate_graph, on any graph that
-    breaks the Graph invariants.
+    Never raises: the Graph checked its arcs when it was constructed.
     """
-    validate_graph(g)
     n = g.n
     rows: list[list[Weight]] = [[INF] * n for _ in range(n)]
     for k in range(n):

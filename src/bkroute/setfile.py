@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NoReturn, Sequence
 
 from .generator import GenSpec
-from .graph import Arc, Graph, MalformedGraphError, validate_graph
+from .graph import Arc, Graph, MalformedGraphError
 
 MAGIC = "BKSET"
 VERSION = 1
@@ -142,12 +142,10 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
                 _raise_arc_error(line, f"{where}, arc {ai}")
             pos += 1
             arcs.append(arc)
-        g = Graph(n, tuple(arcs))
         try:
-            validate_graph(g)
+            graphs.append(Graph(n, arcs))
         except MalformedGraphError as exc:
             raise CorruptFileError(f"{where}, {exc}") from None
-        graphs.append(g)
 
     if pos != len(lines):
         raise CorruptFileError(f"trailing data after the last record (line {pos + 1})")

@@ -14,9 +14,11 @@ from bkroute import (
     BenchRow,
     ConvergenceError,
     GenSpec,
+    Graph,
     TimingPolicy,
     UndefinedSpeedupError,
     aggregate_speedup,
+    bk_classic,
     derive_cell_seed,
     emit_table,
     generate_set,
@@ -83,7 +85,7 @@ def test_range_label():
 
 def test_timing_policy_rejects_nonpositive_repeats():
     with pytest.raises(ValueError):
-        TimingPolicy(0).validate()
+        TimingPolicy(0)
 
 
 def test_time_solver_chain_counters():
@@ -117,12 +119,20 @@ def test_time_solver_rejects_bad_input():
 def test_time_solver_names_the_failing_graph(monkeypatch):
     import bkroute.bench as bench_mod
 
-    def boom(mat):
-        raise ConvergenceError("synthetic failure")
+    bad = Graph(2, [(1, 2, 7)])
+    calls = []
+
+    def boom(mat):  # only the 2nd of 3 matrices fails
+        calls.append(mat.n)
+        if mat.n == bad.n:
+            raise ConvergenceError("synthetic failure")
+        return bk_classic(mat)
 
     monkeypatch.setitem(bench_mod._SOLVERS, "classic", boom)
-    with pytest.raises(ConvergenceError, match="graph 1"):
-        time_solver([CHAIN], "classic", TimingPolicy(1))
+    with pytest.raises(ConvergenceError, match="^graph 2: synthetic failure$") as exc:
+        time_solver([CHAIN, bad, CHAIN], "classic", TimingPolicy(1))
+    assert isinstance(exc.value.__cause__, ConvergenceError)
+    assert calls == [CHAIN.n, bad.n]  # no second pass to find the failing graph
 
 
 def test_verify_equivalence_on_seeded_set():

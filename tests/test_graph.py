@@ -86,12 +86,84 @@ def test_matrix_chain():
 )
 def test_matrix_rejects_malformed_input(arcs, msg):
     with pytest.raises(MalformedGraphError, match=msg):
-        build_cost_matrix(Graph(3, arcs))
+        Graph(3, arcs)  # no matrix is built: the graph itself refuses
 
 
 def test_matrix_rejects_non_integer_weight():
     with pytest.raises(MalformedGraphError, match="integer"):
-        build_cost_matrix(Graph(2, [Arc(1, 2, 1.5)]))
+        Graph(2, [Arc(1, 2, 1.5)])
+
+
+WEIGHT_RULE = f"weight must be an integer in [0, {MAX_WEIGHT}]"
+
+
+@pytest.mark.parametrize(
+    "n,arcs,text",
+    [
+        (1, [], "node count must be at least 2, got 1"),
+        (0, [(1, 2, 3)], "node count must be at least 2, got 0"),
+        (3, [(1, 2, 3), (0, 2, 1)], "arc 2 (0, 2, 1): node index out of range for n=3"),
+        (3, [(1, 4, 1)], "arc 1 (1, 4, 1): node index out of range for n=3"),
+        (3, [(2, 2, 1)], "arc 1 (2, 2, 1): loop arcs are not allowed"),
+        (3, [(1, 2, -1)], f"arc 1 (1, 2, -1): {WEIGHT_RULE}"),
+        (3, [(1, 2, MAX_WEIGHT + 1)], f"arc 1 (1, 2, {MAX_WEIGHT + 1}): {WEIGHT_RULE}"),
+        (3, [(1, 2, 1.5)], f"arc 1 (1, 2, 1.5): {WEIGHT_RULE}"),
+        (3, [(1, 2, True)], f"arc 1 (1, 2, True): {WEIGHT_RULE}"),
+        (3, [(1, 2, 3), (2, 1, 3), (1, 2, 5)], "arc 3 (1, 2, 5): duplicate ordered pair (1, 2)"),
+        # the first broken rule of the first bad arc wins
+        (3, [(3, 3, -1), (0, 1, 1)], "arc 1 (3, 3, -1): loop arcs are not allowed"),
+        (3, [(1, 2, 1), (1, 2, -1)], f"arc 2 (1, 2, -1): {WEIGHT_RULE}"),
+    ],
+)
+def test_graph_construction_raises_the_exact_text(n, arcs, text):
+    with pytest.raises(MalformedGraphError) as exc:
+        Graph(n, arcs)
+    assert str(exc.value) == text
+
+
+def _first_broken_rule(n, arcs):
+    """(1-based position, reason) of the first arc breaking a rule, or None."""
+    pairs = [(i, j) for i, j, _ in arcs]
+    for k, (i, j, w) in enumerate(arcs, start=1):
+        rules = [
+            (i in range(1, n + 1) and j in range(1, n + 1), f"node index out of range for n={n}"),
+            (i != j, "loop arcs are not allowed"),
+            (type(w) is int and 0 <= w <= MAX_WEIGHT, WEIGHT_RULE),
+            ((i, j) not in pairs[: k - 1], f"duplicate ordered pair ({i}, {j})"),
+        ]
+        for holds, reason in rules:
+            if not holds:
+                return k, reason
+    return None
+
+
+@st.composite
+def triples(draw):
+    n = draw(st.integers(2, 5))
+    node = st.integers(-1, n + 1)
+    weight = st.sampled_from([-1, 0, MAX_WEIGHT, MAX_WEIGHT + 1, 1.5]) | st.integers(0, 9)
+    return n, draw(st.lists(st.tuples(node, node, weight), max_size=12))  # repeats allowed
+
+
+@given(triples())
+def test_graph_construction_names_the_first_broken_arc(case):
+    n, arcs = case
+    broken = _first_broken_rule(n, arcs)
+    if broken is not None:
+        k, reason = broken
+        i, j, w = arcs[k - 1]
+        with pytest.raises(MalformedGraphError) as exc:
+            Graph(n, arcs)
+        assert str(exc.value) == f"arc {k} ({i}, {j}, {w}): {reason}"
+        return
+    g = Graph(n, arcs)
+    assert g.arcs == tuple(arcs)
+    mat = build_cost_matrix(g)
+    lookup = {(i, j): w for i, j, w in arcs}
+    assert mat.rows == [
+        [0 if i == j else lookup.get((i, j), INF) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
 
 
 @given(graphs(min_w=0))
