@@ -1,5 +1,6 @@
 """Micro-benchmarks of graph construction (where the arc rules are
-checked), the matrix build and the two sweep kernels.
+checked), the matrix build, the two sweep kernels and the BKSET reader and
+writer.
 
 Run from the root of a source checkout:
 
@@ -16,12 +17,16 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from bkroute import (
+    GenSpec,
     Graph,
     RngStream,
     bk_accelerated,
     bk_classic,
     build_cost_matrix,
     draw_graph,
+    generate_set,
+    read_set,
+    write_set,
 )
 
 # One sparse-route-shaped graph (n 50..90, m 100..400, about 4 arcs per
@@ -50,3 +55,27 @@ def test_solve(benchmark, graph, solve):
     mat = build_cost_matrix(graph)
     result = benchmark(solve, mat)
     assert result.distances[-1] == 0
+
+
+#: A bkset-files-shaped set: n 70..90, m 1000..8010, 10 graphs (about
+#: 0.3 MB of BKSET text).
+BKSET_SPEC = GenSpec(70, 90, 1000, 8010, 10, 7)
+
+
+@pytest.fixture(scope="module")
+def bkset_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bkset") / "set.bkset"
+    write_set(generate_set(BKSET_SPEC), BKSET_SPEC, path)
+    return path
+
+
+def test_read_set(benchmark, bkset_file):
+    spec, graphs = benchmark(read_set, bkset_file)
+    assert spec == BKSET_SPEC and len(graphs) == BKSET_SPEC.count
+
+
+def test_write_set(benchmark, bkset_file, tmp_path):
+    spec, graphs = read_set(bkset_file)
+    dest = tmp_path / "copy.bkset"
+    benchmark(write_set, graphs, spec, dest)
+    assert dest.read_bytes() == bkset_file.read_bytes()

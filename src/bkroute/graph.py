@@ -47,12 +47,14 @@ class Graph:
     """Node count plus a duplicate-free arc list.
 
     The invariants are enforced here, at construction, so every Graph that
-    exists holds them: n >= 2; 1 <= i, j <= n; i != j; no repeated ordered
-    pair; w an int with 0 <= w <= MAX_WEIGHT. The first broken one raises
-    MalformedGraphError; arc errors start with "arc k" (1-based position in
-    arcs) so callers can prefix their own context. Arcs may be given as any
-    iterable of triples; an Arc is kept as it is. The duplicate check needs
-    memory proportional to m, not n*n.
+    exists holds them: n an int >= 2; i and j ints with 1 <= i, j <= n;
+    i != j; no repeated ordered pair; w an int with 0 <= w <= MAX_WEIGHT.
+    "An int" means exactly int: a bool, or a float equal to an int, is
+    refused, since it would not survive a BKSET round trip. The first broken
+    one raises MalformedGraphError; arc errors start with "arc k" (1-based
+    position in arcs) so callers can prefix their own context. Arcs may be
+    given as any iterable of triples; an Arc is kept as it is. The duplicate
+    check needs memory proportional to m, not n*n.
     """
 
     n: int
@@ -60,6 +62,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.n
+        if type(n) is not int:
+            raise MalformedGraphError(f"node count must be an integer, got {n!r}")
         if n < 2:
             raise MalformedGraphError(f"node count must be at least 2, got {n}")
         arcs: list[Arc] = []
@@ -68,7 +72,9 @@ class Graph:
             if not isinstance(a, Arc):
                 a = Arc(*a)
             i, j, w = a
-            if not (1 <= i <= n and 1 <= j <= n):
+            if type(i) is not int or type(j) is not int:
+                reason = "node indices must be integers"
+            elif not (1 <= i <= n and 1 <= j <= n):
                 reason = f"node index out of range for n={n}"
             elif i == j:
                 reason = "loop arcs are not allowed"

@@ -1,7 +1,8 @@
 """Reading and writing graph-set files (BKSET format).
 
-The format is line-oriented UTF-8 text with LF endings, single-space
-separators, and canonical decimal integers (the form ``str(int)`` gives):
+The format is line-oriented UTF-8 text: every line, the last one
+included, ends in LF; fields are separated by single spaces, and every
+integer is in canonical decimal form (the form ``str(int)`` gives):
 
     BKSET 1
     SPEC n1 n2 m1 m2 seed weight_max
@@ -10,11 +11,17 @@ separators, and canonical decimal integers (the form ``str(int)`` gives):
     i j w          <- exactly m arc lines
 
 Arc lines appear in generation order; nothing is sorted, so re-writing
-what was read reproduces the file byte for byte.
+what was read reproduces the file byte for byte. The reader never splits
+the file into lines: it walks the header lines with a cursor and matches
+each record's arc lines on the text with one regular expression, so a
+record's arcs are parsed in bulk.
 """
 
 from __future__ import annotations
 
+import re
+from functools import partial
+from itertools import chain
 from typing import NoReturn, Sequence
 
 from .generator import GenSpec
@@ -22,6 +29,25 @@ from .graph import Arc, Graph, MalformedGraphError
 
 MAGIC = "BKSET"
 VERSION = 1
+
+
+#: A canonical decimal integer, the form str(int) gives: no sign but a
+#: leading "-", no leading zero, no "-0". [0-9] rather than \d, which would
+#: also match non-ASCII digits.
+_TOKEN = "(?:0|-?[1-9][0-9]*)"
+
+#: The longest run of arc lines at a position: three canonical tokens
+#: separated by single spaces, then LF. Negative tokens are matched here so
+#: that a negative weight or node is reported by the Graph rules.
+_ARC_LINES = re.compile(f"(?:{_TOKEN} {_TOKEN} {_TOKEN}\n)*")
+
+#: What each token of an arc line is, for error messages.
+_ARC_FIELDS = ("origin node", "destination node", "weight")
+
+#: Arc from an (i, j, w) tuple: what Arc(i, j, w) returns, without the
+#: Python-level __new__ that NamedTuple adds, which is the larger share of
+#: building an Arc.
+_arc = partial(tuple.__new__, Arc)
 
 
 class UnsupportedFormatError(ValueError):
@@ -34,18 +60,15 @@ class CorruptFileError(ValueError):
 
 def write_set(graphs: Sequence[Graph], spec: GenSpec, dest) -> None:
     """Serialize a graph set and its generating GenSpec to `dest`."""
-    lines = [
-        f"{MAGIC} {VERSION}",
-        f"SPEC {spec.n1} {spec.n2} {spec.m1} {spec.m2} {spec.seed} {spec.weight_max}",
-        f"COUNT {len(graphs)}",
-    ]
-    for g in graphs:
-        lines.append(f"G {g.n} {g.m}")
-        for a in g.arcs:
-            lines.append(f"{a.i} {a.j} {a.w}")
-    lines.append("")
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        fh.write(
+            f"{MAGIC} {VERSION}\n"
+            f"SPEC {spec.n1} {spec.n2} {spec.m1} {spec.m2} {spec.seed} {spec.weight_max}\n"
+            f"COUNT {len(graphs)}\n"
+        )
+        for g in graphs:
+            fh.write(f"G {g.n} {g.m}\n")
+            fh.write("%d %d %d\n" * g.m % tuple(chain.from_iterable(g.arcs)))
 
 
 def _as_int(token: str, what: str, where: str) -> int:
@@ -70,7 +93,7 @@ def _raise_arc_error(line: str | None, at: str) -> NoReturn:
     tok = line.split(" ")
     if len(tok) != 3:
         raise CorruptFileError(f"{at}: expected 'i j w', got {line!r}")
-    for token, what in zip(tok, ("origin node", "destination node", "weight")):
+    for token, what in zip(tok, _ARC_FIELDS):
         _as_int(token, what, at)
     raise AssertionError(f"{at}: arc line {line!r} is well formed")
 
@@ -78,32 +101,34 @@ def _raise_arc_error(line: str | None, at: str) -> NoReturn:
 def read_set(source) -> tuple[GenSpec, list[Graph]]:
     """Parse a BKSET file back into (spec echo, graphs).
 
-    Raises UnsupportedFormatError for a bad magic or version line and
-    CorruptFileError, naming the offending record, for everything else.
+    Raises UnsupportedFormatError for an empty file or a bad magic or
+    version line and CorruptFileError, naming the offending record, for
+    everything else, a missing final line feed included.
     """
     with open(source, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text:
         raise UnsupportedFormatError("empty file is not a BKSET file")
 
-    pos = 0
-
-    def next_line(context: str) -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise CorruptFileError(f"unexpected end of file while reading {context}")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    head = next_line("header").split(" ")
+    head = text.partition("\n")[0].split(" ")
     if len(head) != 2 or head[0] != MAGIC:
         raise UnsupportedFormatError("not a BKSET file")
     if head[1] != str(VERSION):
         raise UnsupportedFormatError(f"unsupported BKSET version {head[1]!r}")
+    # every line ends in LF, so text.index("\n", pos) finds the end of any
+    # line that starts before the end of the text
+    if not text.endswith("\n"):
+        raise CorruptFileError("the final line feed is missing")
+    pos = text.index("\n") + 1
+
+    def next_line(context: str) -> str:
+        nonlocal pos
+        if pos == len(text):
+            raise CorruptFileError(f"unexpected end of file while reading {context}")
+        end = text.index("\n", pos)
+        line = text[pos:end]
+        pos = end + 1
+        return line
 
     spec_tok = next_line("SPEC line").split(" ")
     if len(spec_tok) != 7 or spec_tok[0] != "SPEC":
@@ -123,30 +148,37 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
     graphs: list[Graph] = []
     for gi in range(1, count + 1):
         where = f"graph {gi}"
-        g_tok = next_line(where).split(" ")
+        header = next_line(where)
+        g_tok = header.split(" ")
         if len(g_tok) != 3 or g_tok[0] != "G":
-            raise CorruptFileError(f"{where}: malformed record header {lines[pos - 1]!r}")
+            raise CorruptFileError(f"{where}: malformed record header {header!r}")
         n = _as_int(g_tok[1], "node count", where)
         m = _as_int(g_tok[2], "arc count", where)
         if m < 0:
             raise CorruptFileError(f"{where}: negative arc count {m}")
-        arcs: list[Arc] = []
-        for ai in range(1, m + 1):
-            line = lines[pos] if pos < len(lines) else None
-            try:
-                arc = Arc(*map(int, line.split(" ")))
-            except (AttributeError, TypeError, ValueError):  # no line, not 3 tokens, not ints
-                arc = None
-            # three canonical tokens are exactly what re-formats to the line
-            if arc is None or f"{arc.i} {arc.j} {arc.w}" != line:
-                _raise_arc_error(line, f"{where}, arc {ai}")
-            pos += 1
-            arcs.append(arc)
+        end = _ARC_LINES.match(text, pos).end()
+        found = text.count("\n", pos, end)
+        if found < m:
+            line = text[end : text.index("\n", end)] if end < len(text) else None
+            _raise_arc_error(line, f"{where}, arc {found + 1}")
+        if found > m:  # the record ends after its m-th arc line; the rest is read on
+            end = pos
+            for _ in range(m):
+                end = text.index("\n", end) + 1
+        tokens = text[pos:end].split()
+        pos = end
         try:
-            graphs.append(Graph(n, arcs))
+            values = iter(list(map(int, tokens)))
+        except ValueError:  # a token longer than int() accepts; _as_int names it
+            for k, token in enumerate(tokens):
+                _as_int(token, _ARC_FIELDS[k % 3], f"{where}, arc {k // 3 + 1}")
+            raise
+        try:
+            graphs.append(Graph(n, list(map(_arc, zip(values, values, values)))))
         except MalformedGraphError as exc:
             raise CorruptFileError(f"{where}, {exc}") from None
 
-    if pos != len(lines):
-        raise CorruptFileError(f"trailing data after the last record (line {pos + 1})")
+    if pos != len(text):
+        line_no = text.count("\n", 0, pos) + 1
+        raise CorruptFileError(f"trailing data after the last record (line {line_no})")
     return GenSpec(n1, n2, m1, m2, count, seed, weight_max), graphs

@@ -66,6 +66,13 @@ def test_verify_corrupt_file_is_a_data_error(tmp_path, capsys):
     assert "loop" in capsys.readouterr().err
 
 
+def test_verify_unterminated_file_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "cut.bkset"
+    path.write_text("BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 1\nG 2 1\n2 1 15")
+    assert main(["verify", "--in", str(path)]) == 1
+    assert "final line feed is missing" in capsys.readouterr().err
+
+
 def test_verify_missing_file_is_a_data_error(tmp_path, capsys):
     assert main(["verify", "--in", str(tmp_path / "none.bkset")]) == 1
     assert capsys.readouterr().err != ""

@@ -95,6 +95,7 @@ def test_matrix_rejects_non_integer_weight():
 
 
 WEIGHT_RULE = f"weight must be an integer in [0, {MAX_WEIGHT}]"
+NODE_TYPE_RULE = "node indices must be integers"
 
 
 @pytest.mark.parametrize(
@@ -113,6 +114,14 @@ WEIGHT_RULE = f"weight must be an integer in [0, {MAX_WEIGHT}]"
         # the first broken rule of the first bad arc wins
         (3, [(3, 3, -1), (0, 1, 1)], "arc 1 (3, 3, -1): loop arcs are not allowed"),
         (3, [(1, 2, 1), (1, 2, -1)], f"arc 2 (1, 2, -1): {WEIGHT_RULE}"),
+        # values that compare like ints but are not ints
+        (3.0, [(1, 3, 5)], "node count must be an integer, got 3.0"),
+        (True, [], "node count must be an integer, got True"),
+        (3, [(1.0, 3, 5)], f"arc 1 (1.0, 3, 5): {NODE_TYPE_RULE}"),
+        (3, [(1, 3.0, 5)], f"arc 1 (1, 3.0, 5): {NODE_TYPE_RULE}"),
+        (3, [(True, 3, 5)], f"arc 1 (True, 3, 5): {NODE_TYPE_RULE}"),
+        (3, [(1, 2, 5), (2, False, 5)], f"arc 2 (2, False, 5): {NODE_TYPE_RULE}"),
+        (3, [(2.0, 2, -1)], f"arc 1 (2.0, 2, -1): {NODE_TYPE_RULE}"),
     ],
 )
 def test_graph_construction_raises_the_exact_text(n, arcs, text):
@@ -126,6 +135,7 @@ def _first_broken_rule(n, arcs):
     pairs = [(i, j) for i, j, _ in arcs]
     for k, (i, j, w) in enumerate(arcs, start=1):
         rules = [
+            (type(i) is int and type(j) is int, NODE_TYPE_RULE),
             (i in range(1, n + 1) and j in range(1, n + 1), f"node index out of range for n={n}"),
             (i != j, "loop arcs are not allowed"),
             (type(w) is int and 0 <= w <= MAX_WEIGHT, WEIGHT_RULE),
@@ -142,12 +152,20 @@ def triples(draw):
     n = draw(st.integers(2, 5))
     node = st.integers(-1, n + 1)
     weight = st.sampled_from([-1, 0, MAX_WEIGHT, MAX_WEIGHT + 1, 1.5]) | st.integers(0, 9)
+    if draw(st.booleans()):  # also values that compare like ints but are not ints
+        node |= st.sampled_from([1.0, float(n), True, False])
+        n = draw(st.sampled_from([n, float(n), True]))
     return n, draw(st.lists(st.tuples(node, node, weight), max_size=12))  # repeats allowed
 
 
 @given(triples())
 def test_graph_construction_names_the_first_broken_arc(case):
     n, arcs = case
+    if type(n) is not int:
+        with pytest.raises(MalformedGraphError) as exc:
+            Graph(n, arcs)
+        assert str(exc.value) == f"node count must be an integer, got {n!r}"
+        return
     broken = _first_broken_rule(n, arcs)
     if broken is not None:
         k, reason = broken

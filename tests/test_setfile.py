@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import tempfile
 
 import pytest
@@ -8,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkroute import (
+    Arc,
     CorruptFileError,
     GenSpec,
     Graph,
+    MalformedGraphError,
     UnsupportedFormatError,
     generate_set,
     read_set,
     write_set,
 )
+from bkroute.setfile import MAGIC, VERSION, _as_int, _raise_arc_error
 
 TINY_SPEC = GenSpec(2, 2, 1, 1, 2, 42)
 
@@ -131,9 +135,189 @@ HEADER = "BKSET 1\nSPEC 2 4 1 5 7 100\n"
         ("COUNT 1\nG 3 2\n1 2 7\n2 2 4\n", "graph 1, arc 2 .*loop"),
         # a body that starts with the magic replaces HEADER
         ("BKSET 1\nSPEC 2 4 1 5 +7 100\nCOUNT 0\n", "SPEC line: seed"),
+        ("COUNT 1\nG 2 1\n1 2 7", "^the final line feed is missing$"),
+        ("COUNT 1\nG 2 0", "^the final line feed is missing$"),
+        ("COUNT 0", "^the final line feed is missing$"),
     ],
 )
 def test_corrupt_files_name_the_offending_record(tmp_path, body, msg):
     text = body if body.startswith("BKSET") else HEADER + body
     with pytest.raises(CorruptFileError, match=msg):
         read_set(_write(tmp_path, text))
+
+
+def test_a_token_past_the_int_digit_limit_is_corrupt(tmp_path):
+    text = HEADER + "COUNT 1\nG 3 2\n1 2 7\n2 3 " + "9" * 5000 + "\n"
+    with pytest.raises(CorruptFileError, match="^graph 1, arc 2: weight is not a canonical"):
+        read_set(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "text,msg", [("XKSET 1", "not a BKSET file"), ("BKSET 2", "version '2'")]
+)
+def test_unterminated_file_keeps_its_format_error(tmp_path, text, msg):
+    with pytest.raises(UnsupportedFormatError, match=msg):
+        read_set(_write(tmp_path, text))
+
+
+def _line_by_line_read_set(source):
+    """The reader as it was before records were matched on the text: it
+    splits the file into lines and checks one arc line at a time. Kept as
+    the reference that read_set must agree with."""
+    with open(source, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise UnsupportedFormatError("empty file is not a BKSET file")
+
+    pos = 0
+
+    def next_line(context):
+        nonlocal pos
+        if pos >= len(lines):
+            raise CorruptFileError(f"unexpected end of file while reading {context}")
+        line = lines[pos]
+        pos += 1
+        return line
+
+    head = next_line("header").split(" ")
+    if len(head) != 2 or head[0] != MAGIC:
+        raise UnsupportedFormatError("not a BKSET file")
+    if head[1] != str(VERSION):
+        raise UnsupportedFormatError(f"unsupported BKSET version {head[1]!r}")
+
+    spec_tok = next_line("SPEC line").split(" ")
+    if len(spec_tok) != 7 or spec_tok[0] != "SPEC":
+        raise CorruptFileError("malformed SPEC line")
+    n1, n2, m1, m2, seed, weight_max = (
+        _as_int(t, f, "SPEC line")
+        for t, f in zip(spec_tok[1:], ("n1", "n2", "m1", "m2", "seed", "weight_max"))
+    )
+
+    count_tok = next_line("COUNT line").split(" ")
+    if len(count_tok) != 2 or count_tok[0] != "COUNT":
+        raise CorruptFileError("malformed COUNT line")
+    count = _as_int(count_tok[1], "count", "COUNT line")
+    if count < 0:
+        raise CorruptFileError(f"negative count {count}")
+
+    graphs = []
+    for gi in range(1, count + 1):
+        where = f"graph {gi}"
+        g_tok = next_line(where).split(" ")
+        if len(g_tok) != 3 or g_tok[0] != "G":
+            raise CorruptFileError(f"{where}: malformed record header {lines[pos - 1]!r}")
+        n = _as_int(g_tok[1], "node count", where)
+        m = _as_int(g_tok[2], "arc count", where)
+        if m < 0:
+            raise CorruptFileError(f"{where}: negative arc count {m}")
+        arcs = []
+        for ai in range(1, m + 1):
+            line = lines[pos] if pos < len(lines) else None
+            try:
+                arc = Arc(*map(int, line.split(" ")))
+            except (AttributeError, TypeError, ValueError):
+                arc = None
+            if arc is None or f"{arc.i} {arc.j} {arc.w}" != line:
+                _raise_arc_error(line, f"{where}, arc {ai}")
+            pos += 1
+            arcs.append(arc)
+        try:
+            graphs.append(Graph(n, arcs))
+        except MalformedGraphError as exc:
+            raise CorruptFileError(f"{where}, {exc}") from None
+
+    if pos != len(lines):
+        raise CorruptFileError(f"trailing data after the last record (line {pos + 1})")
+    return GenSpec(n1, n2, m1, m2, count, seed, weight_max), graphs
+
+
+#: Text that the mutations insert: each is either outside the canonical
+#: form (a sign, an underscore, a carriage return, a tab, a non-ASCII
+#: digit, "-0") or changes a line's shape or value ("-", " ", "0", LF, a
+#: letter).
+_INSERTS = ["\r", "\t", "+", "_", "-", "-0", "\u0662", " ", "0", "\n", "x"]
+_TRAILERS = ["extra\n", "\n", "1 2 3\n", "G 2 1\n1 2 3\n"]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    pos = rng.randrange(len(text) + 1)
+    kind = rng.randrange(9)
+    if kind == 0:
+        return text[:pos] + rng.choice(_INSERTS) + text[pos:]
+    if kind == 1:
+        return text[:pos] + text[pos + 1 :]
+    if kind == 2:
+        return text[:pos]
+    if kind == 3:
+        return "\n".join(lines[: k + 1] + lines[k:])
+    if kind == 4:
+        return "\n".join(lines[:k] + lines[k + 1 :])
+    if kind == 5:
+        return "\n".join(lines[:k] + [""] + lines[k:])
+    if kind == 6:
+        return text + rng.choice(_TRAILERS)
+    # a sign on a token: a negative node or weight, or a non-canonical "-0"
+    starts = [i for i, c in enumerate(text) if c.isdigit() and (i == 0 or text[i - 1] in " \n")]
+    if not starts:
+        return text + "-"
+    i = rng.choice(starts)
+    if kind == 7:
+        return text[:i] + "-" + text[i:]
+    end = i
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    return text[:i] + "-0" + text[end:]
+
+
+def _mutated_corpus(path):
+    """A fixed corpus: 30 small generated sets, with weights up to 1, 5 and
+    100, and 100 texts one or two mutations away from each."""
+    rng = random.Random(20091)
+    corpus = []
+    for weight_max in (1, 5, 100):
+        for seed in range(10):
+            spec = GenSpec(2, 5, 1, 8, 3, seed, weight_max)
+            write_set(generate_set(spec), spec, path)
+            text = path.read_text()
+            corpus.append(text)
+            for _ in range(100):
+                mutated = _mutate(text, rng)
+                if rng.random() < 0.3:
+                    mutated = _mutate(mutated, rng)
+                corpus.append(mutated)
+    return corpus
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_reader_agrees_with_the_line_by_line_reference(tmp_path):
+    path = tmp_path / "m.bkset"
+    read_ok = unterminated = 0
+    messages = set()
+    for text in _mutated_corpus(path):
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_line_by_line_read_set, path)
+        got = _outcome(read_set, path)
+        if text and not text.endswith("\n") and expected[0] is not UnsupportedFormatError:
+            # the one intended difference: an unterminated last line is corrupt
+            assert got == (CorruptFileError, "the final line feed is missing"), text
+            unterminated += 1
+            continue
+        assert got == expected, text
+        if isinstance(got[1], list):
+            read_ok += 1
+            assert all(type(a) is Arc for g in got[1] for a in g.arcs)
+        else:
+            messages.add(got[1])
+    # the corpus reaches every kind of outcome, not only one
+    assert read_ok > 50 and unterminated > 200 and len(messages) > 500
