@@ -1,6 +1,6 @@
 """Micro-benchmarks of graph construction (where the arc rules are
-checked), the matrix build, the two sweep kernels and the BKSET reader and
-writer.
+checked), the matrix build, the two sweep kernels, route extraction and the
+BKSET reader and writer.
 
 Run from the root of a source checkout:
 
@@ -11,6 +11,8 @@ pyproject.toml keeps this directory out of a plain `pytest` run.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -24,16 +26,33 @@ from bkroute import (
     bk_classic,
     build_cost_matrix,
     draw_graph,
+    extract_route,
     generate_set,
     read_set,
     write_set,
 )
 
+
+def random_graph(n: int, m: int, seed: int) -> Graph:
+    """m distinct random arcs with weights 1..100. The generator is not used
+    at large n: its pool of all n*(n-1) positions would take gigabytes."""
+    rnd = random.Random(seed)
+    seen, arcs = set(), []
+    while len(arcs) < m:
+        i, j = rnd.randint(1, n), rnd.randint(1, n)
+        if i != j and (i, j) not in seen:
+            seen.add((i, j))
+            arcs.append((i, j, rnd.randint(1, 100)))
+    return Graph(n, arcs)
+
+
 # One sparse-route-shaped graph (n 50..90, m 100..400, about 4 arcs per
-# row) and the densest table1 cell, n=90 with m=7800.
+# row), the densest table1 cell, n=90 with m=7800, and the same sparsity
+# at the n that MAX_WEIGHT is sized for.
 GRAPHS = {
     "sparse-n70-m250": draw_graph(70, 250, RngStream(7)),
     "dense-n90-m7800": draw_graph(90, 7800, RngStream(7)),
+    "sparse-n10000-m40000": random_graph(10**4, 4 * 10**4, 7),
 }
 
 
@@ -55,6 +74,13 @@ def test_solve(benchmark, graph, solve):
     mat = build_cost_matrix(graph)
     result = benchmark(solve, mat)
     assert result.distances[-1] == 0
+
+
+def test_extract_route(benchmark, graph):
+    mat = build_cost_matrix(graph)
+    distances = bk_classic(mat).distances
+    route = benchmark(extract_route, mat, distances)
+    assert route.cost == distances[0]
 
 
 #: A bkset-files-shaped set: n 70..90, m 1000..8010, 10 graphs (about

@@ -1,7 +1,8 @@
-"""Shortest-route solving on the min-plus semiring: dense cost-matrix
-iteration in classic (simultaneous) and accelerated (in-place, bottom-up)
-sweep orders, plus a seeded graph generator, a bit-exact set file format,
-and a benchmark harness with fixed measurement grids."""
+"""Shortest-route solving on the min-plus semiring: cost-matrix iteration
+in classic (simultaneous) and accelerated (in-place, bottom-up) sweep
+orders over a per-row table of finite costs, plus a seeded graph
+generator, a bit-exact set file format, and a benchmark harness with
+fixed measurement grids."""
 
 from .bench import (
     GRIDS,
@@ -10,21 +11,17 @@ from .bench import (
     TABLE2_CELLS,
     BenchReport,
     BenchRow,
-    MethodTiming,
     TimingPolicy,
     UndefinedSpeedupError,
-    VerificationSummary,
     aggregate_speedup,
     derive_cell_seed,
     emit_table,
-    environment_note,
     range_label,
     run_grid,
     time_solver,
     verify_equivalence,
 )
 from .generator import (
-    GeneratedSet,
     GenSpec,
     RngStream,
     draw_graph,
@@ -39,12 +36,10 @@ from .graph import (
     CostMatrix,
     Graph,
     MalformedGraphError,
-    Weight,
     build_cost_matrix,
     max_arcs,
 )
 from .oracle import (
-    BRUTE_FORCE_MAX_NODES,
     SizeLimitError,
     bounded_distances,
     brute_force_distance,
@@ -55,7 +50,6 @@ from .solver import (
     ConvergenceError,
     NoRouteError,
     Route,
-    SolveResult,
     bk_accelerated,
     bk_classic,
     extract_route,
@@ -69,29 +63,23 @@ __all__ = [
     "Arc",
     "BenchReport",
     "BenchRow",
-    "BRUTE_FORCE_MAX_NODES",
     "ConvergenceError",
     "CorruptFileError",
     "CostMatrix",
-    "GeneratedSet",
     "GenSpec",
     "Graph",
     "GRIDS",
     "MalformedGraphError",
-    "MethodTiming",
     "NoRouteError",
     "REPORT_COLUMNS",
     "RngStream",
     "Route",
     "SizeLimitError",
-    "SolveResult",
     "TABLE1_CELLS",
     "TABLE2_CELLS",
     "TimingPolicy",
     "UndefinedSpeedupError",
     "UnsupportedFormatError",
-    "VerificationSummary",
-    "Weight",
     "aggregate_speedup",
     "bk_accelerated",
     "bk_classic",
@@ -102,7 +90,6 @@ __all__ = [
     "draw_graph",
     "draw_spec_instance",
     "emit_table",
-    "environment_note",
     "extract_route",
     "generate_set",
     "generate_set_detailed",

@@ -1,15 +1,17 @@
 """Directed graphs with integer arc weights and their cost matrices.
 
-Node indices are 1-based wherever a human sees them (arc lists, files,
-printed routes); in-memory tables are ordinary 0-based lists.
+A cost matrix keeps only its finite entries, one table row per node, so
+nothing here grows with n*n. Node indices are 1-based wherever a human
+sees them (arc lists, files, printed routes); in-memory tables are
+ordinary 0-based sequences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 #: Absent-arc marker. IEEE infinity saturates under addition, so no sum of
 #: weights along a sweep can turn it into a finite value.
@@ -95,54 +97,67 @@ class Graph:
 
 
 #: One row of the sweep view: the 0-based row index i, a gather that reads
-#: v at the row's finite columns (the diagonal included when finite), and
-#: the weights a[i][j] at those columns, in the same order.
+#: v at the row's columns (its diagonal first, then one per arc), and the
+#: weights at those columns, in the same order.
 RowTerms = tuple[int, Callable[[Sequence[Weight]], Sequence[Weight]], tuple[Weight, ...]]
 
+#: One row of the cost table: 0-based columns and the weights at them, in
+#: the same order, the diagonal (weight 0) first and then one per arc.
+TableRow = tuple[tuple[int, ...], tuple[Weight, ...]]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense extended-weight table: 0 on the diagonal, the arc weight where an
-    arc exists, INF everywhere else. `rows` is 0-based.
+    """Extended-weight costs of a graph: 0 on the diagonal, the arc weight
+    where an arc exists, INF everywhere else. Only the finite entries are
+    stored, so memory grows with n + m, never with n*n.
 
-    `sparse_rows` is derived from `rows` at construction: one RowTerms entry,
-    in row order, for each non-target row with a finite off-diagonal entry.
-    The other rows stay INF in every sweep, so they are left out, and the
-    INF terms of a row can never win its minimum, so they are left out too.
-    Because the view is built once, `rows` must never be mutated.
+    `table[i]` (0-based) is row i: its diagonal, then its arcs in the order
+    given. It is built in one pass that groups the (i, j, w) triples (1-based
+    nodes) by row. The triples are taken as they are, without checks:
+    `build_cost_matrix` passes a Graph's arcs, which are already checked,
+    and tests pass weights no Graph admits, such as a negative cycle.
+
+    `sparse_rows` is derived from `table`: one RowTerms entry, in row order,
+    for each non-target row with at least one arc. A row without arcs stays
+    INF in every sweep, so it is left out.
     """
 
     n: int
-    rows: list[list[Weight]]
-    sparse_rows: tuple[RowTerms, ...] = field(init=False, repr=False, compare=False)
+    arcs: InitVar[Iterable[tuple[int, int, Weight]]]
+    table: tuple[TableRow, ...] = field(init=False, repr=False)
+    sparse_rows: tuple[RowTerms, ...] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        view: list[RowTerms] = []
-        for i, row in enumerate(self.rows[:-1]):
-            cols = [j for j, x in enumerate(row) if x != INF]
-            if cols == [i] or not cols:
-                continue
-            if len(cols) > 1:
-                gather = itemgetter(*cols)
-            else:  # itemgetter of one index returns a scalar; a slice keeps a sequence
-                gather = itemgetter(slice(cols[0], cols[0] + 1))
-            view.append((i, gather, tuple(gather(row))))
-        object.__setattr__(self, "sparse_rows", tuple(view))
+    def __post_init__(self, arcs: Iterable[tuple[int, int, Weight]]) -> None:
+        n = self.n
+        cols: list[list[int]] = [[k] for k in range(n)]
+        weights: list[list[Weight]] = [[0] for _ in range(n)]
+        for i, j, w in arcs:
+            cols[i - 1].append(j - 1)
+            weights[i - 1].append(w)
+        table = tuple(zip(map(tuple, cols), map(tuple, weights)))
+        view = tuple(
+            (i, itemgetter(*c), w) for i, (c, w) in enumerate(table[:-1]) if len(c) > 1
+        )
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "sparse_rows", view)
 
     def entry(self, i: int, j: int) -> Weight:
-        """1-based accessor, mainly for tests and debugging."""
-        return self.rows[i - 1][j - 1]
+        """1-based accessor, for tests and route checks. Takes time in
+        proportion to row i's arc count; raises IndexError outside 1..n."""
+        n = self.n
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexError(f"entry ({i}, {j}) is outside 1..{n}")
+        cols, weights = self.table[i - 1]
+        try:
+            return weights[cols.index(j - 1)]
+        except ValueError:
+            return INF
 
 
 def build_cost_matrix(g: Graph) -> CostMatrix:
-    """Expand an arc list into its dense cost matrix.
+    """The cost matrix of a graph, in time and memory proportional to n + m.
 
     Never raises: the Graph checked its arcs when it was constructed.
     """
-    n = g.n
-    rows: list[list[Weight]] = [[INF] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = 0
-    for i, j, w in g.arcs:
-        rows[i - 1][j - 1] = w
-    return CostMatrix(n, rows)
+    return CostMatrix(g.n, g.arcs)

@@ -1,6 +1,6 @@
 """Independent reference answers for cost-to-target distances.
 
-Deliberately structured unlike the dense sweep solvers: one routine
+Deliberately structured unlike the sweep solvers: one routine
 relaxes the raw arc list until stable, the others enumerate simple paths
 outright. Tests treat these as ground truth.
 """

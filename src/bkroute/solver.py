@@ -7,10 +7,11 @@ One engine, ``_solve``, repeats passes of
 starting from the vector that is 0 at the target (node n) and INF
 everywhere else, and stops as soon as a pass leaves the vector unchanged.
 A pass reads the matrix through ``CostMatrix.sparse_rows``, which holds
-for each row only its finite entries, diagonal included: an INF term can
-never win the minimum, and a row with no arc stays INF, so the pass gets
-the dense row's result from fewer terms. A pass function decides only how
-a pass reads v; it returns the new vector, or None when nothing changed:
+for each row only its finite entries: its diagonal, then one per arc.
+An absent arc's INF term could never win the minimum, and a row with no
+arc stays INF, so a pass of at most n + m terms gets the result that the
+paper's n terms per row would. A pass function decides only how a pass
+reads v; it returns the new vector, or None when nothing changed:
 
 * ``_simultaneous`` (``bk_classic``) recomputes every row from the
   previous pass's vector (Jacobi order);
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import INF, CostMatrix, RowTerms, Weight
 
@@ -142,33 +143,40 @@ def extract_route(a: CostMatrix, distances: Sequence[Weight]) -> Route:
     and backs up from a node whose tight arcs are used up. Backing up is
     needed only when zero-weight cycles make tight arcs lead away from the
     target; with positive weights the first tight arc always continues,
-    so the walk never backtracks. Because every hop is tight, the summed
-    cost telescopes to distances[0] exactly.
+    so the walk never backtracks. A row's tight arcs are picked out and
+    sorted by column only when the walk enters that row. Because every hop
+    is tight, the summed cost telescopes to distances[0] exactly.
     """
     n = a.n
     if distances[0] == INF:
         raise NoRouteError("node 1 cannot reach the target")
-    rows = a.rows
+    table = a.table
+
+    def tight_arcs(k: int) -> Iterator[tuple[int, Weight]]:
+        # the diagonal (k, 0) is tight too, but k is on the path, so tried
+        dk = distances[k]
+        return iter(sorted((j, w) for j, w in zip(*table[k]) if w + distances[j] == dk))
+
     tried = [False] * n
     tried[0] = True
     path = [0]  # 0-based nodes from node 1
-    resume = [0]  # per path entry, the first column not yet tried
+    hops = [0]  # per path entry, the weight of the arc into it
+    untried = [tight_arcs(0)]  # per path entry, its tight arcs not yet tried
     while path[-1] != n - 1:
-        row, di = rows[path[-1]], distances[path[-1]]
-        j = resume[-1]
-        while j < n and (tried[j] or row[j] + distances[j] != di):
-            j += 1
-        if j == n:
+        for j, w in untried[-1]:
+            if not tried[j]:
+                break
+        else:
             path.pop()
-            resume.pop()
+            hops.pop()
+            untried.pop()
             if not path:
                 raise ValueError(
                     "no consistent successor from node 1; vector is not a fixed point"
                 )
             continue
-        resume[-1] = j + 1
         tried[j] = True
         path.append(j)
-        resume.append(0)
-    cost = sum(rows[i][j] for i, j in zip(path, path[1:]))
-    return Route(tuple(k + 1 for k in path), cost)
+        hops.append(w)
+        untried.append(tight_arcs(j))
+    return Route(tuple(k + 1 for k in path), sum(hops))

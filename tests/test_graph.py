@@ -53,13 +53,33 @@ def test_matrix_single_arc():
     assert mat.entry(2, 2) == 0
 
 
+def entries(mat):
+    """The full 1-based table of a matrix, INF where no arc exists."""
+    nodes = range(1, mat.n + 1)
+    return [[mat.entry(i, j) for j in nodes] for i in nodes]
+
+
 def test_sparse_rows_hold_the_finite_entries_of_each_row():
-    mat = build_cost_matrix(CHAIN)
-    v = [30, 20, 10, 0]
-    view = [(i, tuple(gather(v)), weights) for i, gather, weights in mat.sparse_rows]
-    # the target row is left out; each row keeps its diagonal and its arcs
-    assert view == [(0, (30, 20, 0), (0, 1, 10)), (1, (20, 10), (0, 1)), (2, (10, 0), (0, 1))]
-    assert build_cost_matrix(Graph(3, [(2, 3, 1)])).sparse_rows[0][0] == 1  # arcless row 0 left out
+    def view(g, v):
+        return [(i, tuple(gather(v)), w) for i, gather, w in build_cost_matrix(g).sparse_rows]
+
+    # the target row is left out; each row keeps its diagonal, then its arcs
+    assert view(CHAIN, [30, 20, 10, 0]) == [
+        (0, (30, 20, 0), (0, 1, 10)),
+        (1, (20, 10), (0, 1)),
+        (2, (10, 0), (0, 1)),
+    ]
+    # the arcless row 1 and the target row, arcs or not, are left out
+    assert view(Graph(3, [(2, 3, 1), (3, 1, 4)]), [30, 20, 10]) == [(1, (20, 10), (0, 1))]
+
+
+@pytest.mark.parametrize("bad", [0, -1, 4])
+@pytest.mark.parametrize("which", ["i", "j"])
+def test_entry_rejects_nodes_outside_the_graph(which, bad):
+    # an index of 0 or -1 must not wrap round to the last rows or columns
+    mat = build_cost_matrix(Graph(3, [(3, 1, 7)]))
+    with pytest.raises(IndexError):
+        mat.entry(*((bad, 1) if which == "i" else (3, bad)))
 
 
 def test_matrix_chain():
@@ -178,7 +198,7 @@ def test_graph_construction_names_the_first_broken_arc(case):
     assert g.arcs == tuple(arcs)
     mat = build_cost_matrix(g)
     lookup = {(i, j): w for i, j, w in arcs}
-    assert mat.rows == [
+    assert entries(mat) == [
         [0 if i == j else lookup.get((i, j), INF) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
@@ -198,4 +218,4 @@ def test_matrix_matches_arc_set(g):
 def test_matrix_ignores_arc_order(g, rnd):
     shuffled = list(g.arcs)
     rnd.shuffle(shuffled)
-    assert build_cost_matrix(Graph(g.n, tuple(shuffled))).rows == build_cost_matrix(g).rows
+    assert entries(build_cost_matrix(Graph(g.n, tuple(shuffled)))) == entries(build_cost_matrix(g))

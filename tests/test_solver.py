@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
 from operator import add
 
 import pytest
@@ -121,12 +123,15 @@ def test_route_rejects_a_non_fixed_point():
         extract_route(CHAIN_MAT, (5, 2, 1, 0))
 
 
+#: A negative two-cycle with a path to the target: no Graph admits it, and
+#: no fixed point ever arrives.
+NEGATIVE_CYCLE = [(1, 2, -5), (1, 3, 0), (2, 1, 1), (2, 3, 0)]
+
+
 def test_divergent_matrix_is_detected():
-    # a negative two-cycle with a path to the target never settles
-    rows = [[0, -5, 0], [1, 0, 0], [INF, INF, 0]]
     for solve in (bk_classic, bk_accelerated):
         with pytest.raises(ConvergenceError, match="fixed point"):
-            solve(CostMatrix(3, [list(r) for r in rows]))
+            solve(CostMatrix(3, NEGATIVE_CYCLE))
 
 
 def dense_reference(a: CostMatrix, bottom_up: bool):
@@ -135,7 +140,8 @@ def dense_reference(a: CostMatrix, bottom_up: bool):
     Returns (distances, sweeps, trace); distances is None when no fixed
     point arrives within n sweeps, where the solvers raise instead.
     """
-    n, rows = a.n, a.rows
+    n = a.n
+    rows = [[a.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     v = [INF] * n
     v[n - 1] = 0
     trace = []
@@ -180,6 +186,10 @@ def graphs_with_sinks(draw):
     return Graph(g.n, [a for a in g.arcs if a.i not in sinks])
 
 
+#: Shaped like the sparse-route corpus: n 50..90, m 100..400.
+SPARSE_ROUTE_SET = generate_set(GenSpec(50, 90, 100, 400, 12, 7, 100))
+
+
 @pytest.mark.parametrize(
     "strategy",
     [
@@ -187,7 +197,7 @@ def graphs_with_sinks(draw):
         graphs(min_w=MAX_WEIGHT - 2, max_w=MAX_WEIGHT),
         complete_graphs(),
         graphs_with_sinks(),
-        st.sampled_from(generate_set(GenSpec(50, 90, 100, 400, 12, 7, 100))),
+        st.sampled_from(SPARSE_ROUTE_SET),
     ],
     ids=["min_w=0", "near-MAX_WEIGHT", "complete", "sinks", "sparse-route-shaped"],
 )
@@ -197,16 +207,12 @@ def test_sparse_view_matches_dense_reference(strategy, data):
 
 
 @pytest.mark.parametrize(
-    "rows",
-    [
-        [[INF, 4, INF], [INF, INF, 2], [INF, INF, 0]],  # only off-diagonal entries
-        [[0, INF, INF], [INF, 0, 5], [INF, INF, 0]],  # row 1 holds only its diagonal
-        [[0, -5, 0], [1, 0, 0], [INF, INF, 0]],  # negative cycle: no fixed point
-    ],
-    ids=["diagonal-INF", "diagonal-only", "negative-cycle"],
+    "arcs",
+    [[(2, 3, 5)], NEGATIVE_CYCLE],  # row 1 holds only its diagonal; no fixed point
+    ids=["diagonal-only", "negative-cycle"],
 )
-def test_sparse_view_matches_dense_reference_on_edge_rows(rows):
-    assert_matches_dense_reference(CostMatrix(3, rows))
+def test_sparse_view_matches_dense_reference_on_edge_rows(arcs):
+    assert_matches_dense_reference(CostMatrix(3, arcs))
 
 
 @given(graphs(min_w=0))
@@ -215,6 +221,70 @@ def test_methods_and_oracle_agree(g):
     c = bk_classic(mat)
     a = bk_accelerated(mat)
     assert c.distances == a.distances == oracle_distances(g)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [graphs(min_w=0), st.sampled_from(SPARSE_ROUTE_SET)],
+    ids=["min_w=0", "sparse-route-shaped"],
+)
+@given(data=st.data())
+def test_oracle_and_methods_match_networkx_dijkstra(strategy, data):
+    nx = pytest.importorskip("networkx")
+    g = data.draw(strategy)
+    reverse = nx.DiGraph()
+    reverse.add_nodes_from(range(1, g.n + 1))
+    reverse.add_weighted_edges_from((a.j, a.i, a.w) for a in g.arcs)
+    found = nx.single_source_dijkstra_path_length(reverse, g.n)
+    expected = tuple(found.get(k, INF) for k in range(1, g.n + 1))
+    mat = build_cost_matrix(g)
+    assert oracle_distances(g) == expected
+    assert bk_classic(mat).distances == bk_accelerated(mat).distances == expected
+
+
+#: The n that MAX_WEIGHT's headroom is sized for.
+LARGE_N = 10**4
+
+
+def build_within_memory_bound(g: Graph) -> CostMatrix:
+    """build_cost_matrix(g), asserting its traced peak stays under 64 MB."""
+    tracemalloc.start()
+    try:
+        mat = build_cost_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    return mat
+
+
+def test_large_chain_is_exact():
+    # every sum MAX_WEIGHT*k stays an exact int; the classic order needs n sweeps
+    n = LARGE_N
+    mat = build_within_memory_bound(Graph(n, [(k, k + 1, MAX_WEIGHT) for k in range(1, n)]))
+    r = bk_accelerated(mat)
+    assert r.sweeps == 2
+    assert all(type(d) is int for d in r.distances)
+    assert r.distances == tuple(MAX_WEIGHT * (n - 1 - k) for k in range(n))
+    route = extract_route(mat, r.distances)
+    assert route.nodes == tuple(range(1, n + 1))
+    assert route.cost == MAX_WEIGHT * (n - 1)
+
+
+def test_large_random_graph_matches_oracle():
+    n, m = LARGE_N, 4 * LARGE_N
+    rnd = random.Random(1)
+    seen, arcs = set(), []
+    while len(arcs) < m:
+        i, j = rnd.randint(1, n), rnd.randint(1, n)
+        if i != j and (i, j) not in seen:
+            seen.add((i, j))
+            arcs.append((i, j, rnd.randint(0, 100)))
+    g = Graph(n, arcs)
+    mat = build_within_memory_bound(g)
+    expected = oracle_distances(g)
+    assert sum(d != INF for d in expected) > n // 2  # most nodes reach the target
+    assert bk_classic(mat).distances == bk_accelerated(mat).distances == expected
 
 
 @given(graphs())
