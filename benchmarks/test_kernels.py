@@ -1,5 +1,5 @@
-"""Micro-benchmarks of graph construction (where the arc rules are
-checked), the matrix build, the two sweep kernels, route extraction and the
+"""Micro-benchmarks of graph generation, graph construction (where the arc
+rules are checked), the matrix build, the two sweep kernels, route extraction and the
 BKSET reader and writer.
 
 Run from the root of a source checkout:
@@ -63,6 +63,13 @@ def graph(request):
 
 def test_graph_construction(benchmark, graph):
     benchmark(Graph, graph.n, graph.arcs)
+
+
+@pytest.mark.parametrize("name", ["sparse-n70-m250", "dense-n90-m7800"])
+def test_draw_graph(benchmark, name):
+    g = GRAPHS[name]
+    drawn = benchmark(lambda: draw_graph(g.n, g.m, RngStream(7)))
+    assert drawn == g
 
 
 def test_build_cost_matrix(benchmark, graph):

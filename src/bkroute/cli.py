@@ -23,7 +23,7 @@ from .bench import (
     verify_equivalence,
 )
 from .generator import GenSpec, generate_set_detailed
-from .graph import MalformedGraphError, build_cost_matrix
+from .graph import MAX_WEIGHT, MalformedGraphError, build_cost_matrix
 from .setfile import CorruptFileError, UnsupportedFormatError, read_set, write_set
 from .solver import ConvergenceError, bk_classic
 
@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, required=True, help="number of graphs")
     gen.add_argument("--seed", type=int, required=True, help="64-bit seed")
     gen.add_argument("--weight-max", type=int, default=100,
-                     help="weights are uniform in 1..WEIGHT_MAX (default 100)")
+                     help=f"weights are uniform in 1..WEIGHT_MAX, at most {MAX_WEIGHT} "
+                          "(default 100)")
     gen.add_argument("--out", required=True, help="destination file")
     gen.set_defaults(func=_cmd_generate)
 

@@ -17,14 +17,26 @@ exclusively through ``getrandbits``:
 * Per graph, in order: node count n, requested arc count m, every arc
   position, then each arc's weight via ``uniform_int(1, weight_max)``.
   Graphs of a set consume the stream sequentially.
+
+Positions and weights are drawn in bulk, with the same result. A
+``getrandbits(k)`` with 1 <= k <= 32 takes exactly one 32-bit MT19937 word
+and keeps its top k bits, and ``getrandbits(32*c)`` returns the next c
+words with the first one lowest. So pulling c words at once, where c is
+the number of draws still needed, reads the very words the next c draws
+would read one by one; and since every draw reads at least one word, it
+never reads past the last draw. Draws wider than 32 bits keep the
+one-call-per-draw path.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, floordiv, ge, mod, rshift
 
-from .graph import Arc, Graph, max_arcs
+from .graph import MAX_WEIGHT, Graph, max_arcs
 
 MAX_SEED = 2**64 - 1
 
@@ -54,8 +66,10 @@ class GenSpec:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.weight_max < 1:
-            raise ValueError(f"weight_max must be >= 1, got {self.weight_max}")
+        if not 1 <= self.weight_max <= MAX_WEIGHT:
+            raise ValueError(
+                f"weight_max must be in [1, {MAX_WEIGHT}], got {self.weight_max}"
+            )
 
 
 class RngStream:
@@ -78,21 +92,49 @@ class RngStream:
             r = self._bits(k)
         return lo + r
 
+    def _words(self, count: int) -> tuple[int, ...]:
+        """The next count 32-bit words of the stream, in stream order."""
+        return struct.unpack(f"<{count}I", self._bits(32 * count).to_bytes(4 * count, "little"))
+
+    def uniform_ints(self, lo: int, hi: int, count: int) -> list[int]:
+        """count draws of uniform_int(lo, hi), consuming the same stream."""
+        if lo > hi:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        span = hi - lo + 1
+        bits = (span - 1).bit_length()
+        if bits > 32:
+            return [self.uniform_int(lo, hi) for _ in range(count)]
+        if span == 1:
+            return [lo] * count
+        drawn: list[int] = []
+        while len(drawn) < count:  # each word is one draw; a rejected one is redrawn
+            words = self._words(count - len(drawn))
+            drawn += filter(span.__gt__, map(rshift, words, repeat(32 - bits)))
+        return list(map(add, drawn, repeat(lo)))
+
     def sample_positions(self, pool_size: int, k: int) -> list[int]:
         """k distinct values from range(pool_size), by partial Fisher-Yates."""
         if not 0 <= k <= pool_size:
             raise ValueError(f"cannot sample {k} of {pool_size}")
         pool = list(range(pool_size))
-        for t in range(k):
-            r = self.uniform_int(t, pool_size - 1)
-            pool[t], pool[r] = pool[r], pool[t]
+        if (pool_size - 1).bit_length() > 32:
+            for t in range(k):
+                r = self.uniform_int(t, pool_size - 1)
+                pool[t], pool[r] = pool[r], pool[t]
+            return pool[:k]
+        # step t draws from a span of pool_size - t; a span of 1 (the last
+        # step of a full shuffle) draws nothing and swaps t with itself
+        steps = min(k, pool_size - 1)
+        t = 0
+        while t < steps:
+            for word in self._words(steps - t):
+                span = pool_size - t
+                r = word >> (32 - (span - 1).bit_length())
+                if r < span:
+                    r += t
+                    pool[t], pool[r] = pool[r], pool[t]
+                    t += 1
         return pool[:k]
-
-
-def _decode_pair(n: int, p: int) -> tuple[int, int]:
-    i0, r = divmod(p, n - 1)
-    j0 = r if r < i0 else r + 1
-    return i0 + 1, j0 + 1
 
 
 def draw_graph(n: int, m_requested: int, rng: RngStream, weight_max: int = 100) -> Graph:
@@ -100,9 +142,13 @@ def draw_graph(n: int, m_requested: int, rng: RngStream, weight_max: int = 100) 
     uniformly without replacement, weights uniform integers in 1..weight_max."""
     pool = max_arcs(n)
     m = min(m_requested, pool)
-    pairs = [_decode_pair(n, p) for p in rng.sample_positions(pool, m)]
-    arcs = tuple(Arc(i, j, rng.uniform_int(1, weight_max)) for i, j in pairs)
-    return Graph(n, arcs)
+    positions = rng.sample_positions(pool, m)
+    # 1-based decode of pair index p: i = p // (n-1) + 1, and with
+    # r = p % (n-1) + 1, j = r if r < i else r + 1
+    src = tuple(map(add, map(floordiv, positions, repeat(n - 1)), repeat(1)))
+    r = tuple(map(add, map(mod, positions, repeat(n - 1)), repeat(1)))
+    dst = tuple(map(add, r, map(ge, r, src)))
+    return Graph.from_columns(n, src, dst, rng.uniform_ints(1, weight_max, m))
 
 
 def draw_spec_instance(spec: GenSpec, rng: RngStream) -> tuple[int, int]:

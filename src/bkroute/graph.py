@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from operator import itemgetter
+from functools import partial
+from itertools import repeat
+from operator import add, eq, itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 #: Absent-arc marker. IEEE infinity saturates under addition, so no sum of
@@ -44,56 +46,126 @@ class Arc(NamedTuple):
     w: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Node count plus a duplicate-free arc list.
+    """Node count plus a duplicate-free arc list, held as three int columns.
 
-    The invariants are enforced here, at construction, so every Graph that
-    exists holds them: n an int >= 2; i and j ints with 1 <= i, j <= n;
-    i != j; no repeated ordered pair; w an int with 0 <= w <= MAX_WEIGHT.
-    "An int" means exactly int: a bool, or a float equal to an int, is
-    refused, since it would not survive a BKSET round trip. The first broken
-    one raises MalformedGraphError; arc errors start with "arc k" (1-based
-    position in arcs) so callers can prefix their own context. Arcs may be
-    given as any iterable of triples; an Arc is kept as it is. The duplicate
-    check needs memory proportional to m, not n*n.
+    Arc k (0-based) runs from node src[k] to node dst[k] with weight wt[k];
+    no Arc object exists per arc. `Graph(n, arcs)` takes any iterable of
+    (i, j, w) triples and transposes it; `Graph.from_columns` takes the
+    columns as they are. Both go through the same check, so every Graph
+    that exists holds the invariants: n an int >= 2; i and j ints with
+    1 <= i, j <= n; i != j; no repeated ordered pair; w an int with
+    0 <= w <= MAX_WEIGHT. "An int" means exactly int: a bool, or a float
+    equal to an int, is refused, since it would not survive a BKSET round
+    trip. The columns are checked in bulk; only when that fails does a loop
+    over the arcs find the first broken one, which raises
+    MalformedGraphError. Arc errors start with "arc k" (1-based position in
+    arcs) so callers can prefix their own context. The duplicate check
+    needs memory proportional to m, not n*n.
     """
 
     n: int
-    arcs: tuple[Arc, ...] = ()
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
+    wt: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.n
-        if type(n) is not int:
-            raise MalformedGraphError(f"node count must be an integer, got {n!r}")
-        if n < 2:
-            raise MalformedGraphError(f"node count must be at least 2, got {n}")
-        arcs: list[Arc] = []
-        seen: set[int] = set()  # i*n + j, one int per ordered pair once i, j are in range
-        for k, a in enumerate(self.arcs, start=1):
-            if not isinstance(a, Arc):
-                a = Arc(*a)
-            i, j, w = a
-            if type(i) is not int or type(j) is not int:
-                reason = "node indices must be integers"
-            elif not (1 <= i <= n and 1 <= j <= n):
-                reason = f"node index out of range for n={n}"
-            elif i == j:
-                reason = "loop arcs are not allowed"
-            elif type(w) is not int or not 0 <= w <= MAX_WEIGHT:
-                reason = f"weight must be an integer in [0, {MAX_WEIGHT}]"
-            elif (key := i * n + j) in seen:
-                reason = f"duplicate ordered pair ({i}, {j})"
-            else:
-                seen.add(key)
-                arcs.append(a)
-                continue
-            raise MalformedGraphError(f"arc {k} ({i}, {j}, {w}): {reason}")
-        object.__setattr__(self, "arcs", tuple(arcs))
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = ()) -> None:
+        _check_node_count(n)
+        items = list(arcs)
+        try:
+            triples = set(map(len, items)) <= {3}
+        except TypeError:  # an item without a length
+            triples = False
+        if not triples:
+            items = _check_each_arc(n, items)
+        self._set_columns(n, *(zip(*items) if items else ((), (), ())))
+
+    @classmethod
+    def from_columns(
+        cls, n: int, src: Sequence[int], dst: Sequence[int], wt: Sequence[int]
+    ) -> Graph:
+        """The graph whose arc k runs from src[k] to dst[k] with weight wt[k]."""
+        _check_node_count(n)
+        if not len(src) == len(dst) == len(wt):
+            raise MalformedGraphError(
+                f"columns differ in length: {len(src)}, {len(dst)}, {len(wt)}"
+            )
+        g = cls.__new__(cls)
+        g._set_columns(n, src, dst, wt)
+        return g
+
+    def _set_columns(
+        self, n: int, src: Iterable[int], dst: Iterable[int], wt: Iterable[int]
+    ) -> None:
+        src, dst, wt = tuple(src), tuple(dst), tuple(wt)
+        m = len(src)
+        if m and not (
+            set(map(type, src)) == set(map(type, dst)) == set(map(type, wt)) == {int}
+            and 1 <= min(src) and max(src) <= n
+            and 1 <= min(dst) and max(dst) <= n
+            and not any(map(eq, src, dst))
+            and 0 <= min(wt) and max(wt) <= MAX_WEIGHT
+            and len(set(map(add, map(mul, src, repeat(n)), dst))) == m
+        ):
+            _check_each_arc(n, zip(src, dst, wt))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "wt", wt)
 
     @property
     def m(self) -> int:
-        return len(self.arcs)
+        return len(self.src)
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as Arc triples, built on each access from the columns."""
+        return tuple(map(_arc, zip(self.src, self.dst, self.wt)))
+
+
+#: Arc from an (i, j, w) tuple: what Arc(i, j, w) returns, without the
+#: Python-level __new__ that NamedTuple adds.
+_arc = partial(tuple.__new__, Arc)
+
+
+def _check_node_count(n: int) -> None:
+    if type(n) is not int:
+        raise MalformedGraphError(f"node count must be an integer, got {n!r}")
+    if n < 2:
+        raise MalformedGraphError(f"node count must be at least 2, got {n}")
+
+
+def _check_each_arc(n: int, arcs: Iterable) -> list[tuple[int, int, int]]:
+    """The arcs as (i, j, w) tuples, checked one by one in the order the
+    Graph docstring gives the rules; the first broken arc raises
+    MalformedGraphError. This is the slow path, taken only when the bulk
+    check fails or an item is not a sized triple."""
+    triples: list[tuple[int, int, int]] = []
+    seen: set[int] = set()  # i*n + j, one int per ordered pair once i, j are in range
+    for k, a in enumerate(arcs, start=1):
+        try:
+            i, j, w = a
+        except (TypeError, ValueError):
+            raise MalformedGraphError(
+                f"arc {k}: expected an (i, j, w) triple, got {a!r}"
+            ) from None
+        if type(i) is not int or type(j) is not int:
+            reason = "node indices must be integers"
+        elif not (1 <= i <= n and 1 <= j <= n):
+            reason = f"node index out of range for n={n}"
+        elif i == j:
+            reason = "loop arcs are not allowed"
+        elif type(w) is not int or not 0 <= w <= MAX_WEIGHT:
+            reason = f"weight must be an integer in [0, {MAX_WEIGHT}]"
+        elif (key := i * n + j) in seen:
+            reason = f"duplicate ordered pair ({i}, {j})"
+        else:
+            seen.add(key)
+            triples.append((i, j, w))
+            continue
+        raise MalformedGraphError(f"arc {k} ({i}, {j}, {w}): {reason}")
+    return triples
 
 
 #: One row of the sweep view: the 0-based row index i, a gather that reads
@@ -115,7 +187,7 @@ class CostMatrix:
     `table[i]` (0-based) is row i: its diagonal, then its arcs in the order
     given. It is built in one pass that groups the (i, j, w) triples (1-based
     nodes) by row. The triples are taken as they are, without checks:
-    `build_cost_matrix` passes a Graph's arcs, which are already checked,
+    `build_cost_matrix` zips a Graph's columns, which are already checked,
     and tests pass weights no Graph admits, such as a negative cycle.
 
     `sparse_rows` is derived from `table`: one RowTerms entry, in row order,
@@ -160,4 +232,4 @@ def build_cost_matrix(g: Graph) -> CostMatrix:
 
     Never raises: the Graph checked its arcs when it was constructed.
     """
-    return CostMatrix(g.n, g.arcs)
+    return CostMatrix(g.n, zip(g.src, g.dst, g.wt))

@@ -20,9 +20,9 @@ class SizeLimitError(ValueError):
 def oracle_distances(g: Graph) -> tuple[Weight, ...]:
     """Exact shortest cost from every node to node n, by arc-list relaxation."""
     n = g.n
-    dist: list[Weight] = [INF] * n
-    dist[n - 1] = 0
-    arcs = [(a.i - 1, a.j - 1, a.w) for a in g.arcs]
+    dist: list[Weight] = [INF] * (n + 1)  # 1-based, like the arcs: slot 0 is unused
+    dist[n] = 0
+    arcs = list(zip(g.src, g.dst, g.wt))
     for _ in range(n):
         changed = False
         for i, j, w in arcs:
@@ -32,7 +32,7 @@ def oracle_distances(g: Graph) -> tuple[Weight, ...]:
                 changed = True
         if not changed:
             break
-    return tuple(dist)
+    return tuple(dist[1:])
 
 
 def _check_size(g: Graph) -> None:
@@ -44,8 +44,8 @@ def _check_size(g: Graph) -> None:
 
 def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for a in g.arcs:
-        adj[a.i - 1].append((a.j - 1, a.w))
+    for i, j, w in zip(g.src, g.dst, g.wt):
+        adj[i - 1].append((j - 1, w))
     return adj
 
 

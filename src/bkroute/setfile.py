@@ -20,12 +20,10 @@ record's arcs are parsed in bulk.
 from __future__ import annotations
 
 import re
-from functools import partial
-from itertools import chain
 from typing import NoReturn, Sequence
 
 from .generator import GenSpec
-from .graph import Arc, Graph, MalformedGraphError
+from .graph import Graph, MalformedGraphError
 
 MAGIC = "BKSET"
 VERSION = 1
@@ -43,12 +41,6 @@ _ARC_LINES = re.compile(f"(?:{_TOKEN} {_TOKEN} {_TOKEN}\n)*")
 
 #: What each token of an arc line is, for error messages.
 _ARC_FIELDS = ("origin node", "destination node", "weight")
-
-#: Arc from an (i, j, w) tuple: what Arc(i, j, w) returns, without the
-#: Python-level __new__ that NamedTuple adds, which is the larger share of
-#: building an Arc.
-_arc = partial(tuple.__new__, Arc)
-
 
 class UnsupportedFormatError(ValueError):
     """The file is not a BKSET file, or its version is unknown."""
@@ -68,7 +60,9 @@ def write_set(graphs: Sequence[Graph], spec: GenSpec, dest) -> None:
         )
         for g in graphs:
             fh.write(f"G {g.n} {g.m}\n")
-            fh.write("%d %d %d\n" * g.m % tuple(chain.from_iterable(g.arcs)))
+            values = [0] * (3 * g.m)  # i j w of each arc in turn, as read_set slices them
+            values[0::3], values[1::3], values[2::3] = g.src, g.dst, g.wt
+            fh.write("%d %d %d\n" * g.m % tuple(values))
 
 
 def _as_int(token: str, what: str, where: str) -> int:
@@ -168,13 +162,13 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
         tokens = text[pos:end].split()
         pos = end
         try:
-            values = iter(list(map(int, tokens)))
+            values = tuple(map(int, tokens))
         except ValueError:  # a token longer than int() accepts; _as_int names it
             for k, token in enumerate(tokens):
                 _as_int(token, _ARC_FIELDS[k % 3], f"{where}, arc {k // 3 + 1}")
             raise
         try:
-            graphs.append(Graph(n, list(map(_arc, zip(values, values, values)))))
+            graphs.append(Graph.from_columns(n, values[0::3], values[1::3], values[2::3]))
         except MalformedGraphError as exc:
             raise CorruptFileError(f"{where}, {exc}") from None
 

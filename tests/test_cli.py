@@ -38,6 +38,17 @@ def test_generate_rejects_inverted_bounds(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_rejects_weight_max_above_the_graph_bound(tmp_path, capsys):
+    out = tmp_path / "x.bkset"
+    rc = main(
+        ["generate", "--n", "3..3", "--m", "2..2", "--count", "1", "--seed", "1",
+         "--weight-max", str(2**40), "--out", str(out)]
+    )
+    assert rc == 2
+    assert "weight_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_range_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(

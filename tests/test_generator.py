@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkroute import (
+    MAX_WEIGHT,
     GenSpec,
     RngStream,
     draw_graph,
@@ -20,6 +22,7 @@ from bkroute import (
 def test_genspec_accepts_sane_bounds():
     GenSpec(2, 4, 1, 5, 3, 1).validate()
     GenSpec(90, 90, 8010, 8010, 1, 2**64 - 1).validate()
+    GenSpec(2, 4, 1, 5, 3, 1, MAX_WEIGHT).validate()
 
 
 @pytest.mark.parametrize(
@@ -33,6 +36,8 @@ def test_genspec_accepts_sane_bounds():
         dict(seed=-1),
         dict(seed=2**64),
         dict(weight_max=0),
+        dict(weight_max=MAX_WEIGHT + 1),
+        dict(weight_max=2**40),
     ],
 )
 def test_genspec_rejects_bad_bounds(kwargs):
@@ -62,6 +67,60 @@ def test_equal_bounds_consume_no_randomness():
 def test_uniform_int_rejects_empty_range():
     with pytest.raises(ValueError):
         RngStream(0).uniform_int(5, 4)
+
+
+def _reference_uniform_ints(bits, lo, hi, count):
+    """count draws of the frozen scheme, one getrandbits call per draw."""
+    span = hi - lo + 1
+    out = []
+    for _ in range(count):
+        if span == 1:
+            out.append(lo)
+            continue
+        k = (span - 1).bit_length()
+        r = bits(k)
+        while r >= span:
+            r = bits(k)
+        out.append(lo + r)
+    return out
+
+
+def _reference_sample(bits, pool_size, k):
+    """The frozen partial Fisher-Yates over a list, one draw per step."""
+    pool = list(range(pool_size))
+    for t in range(k):
+        (r,) = _reference_uniform_ints(bits, t, pool_size - 1, 1)
+        pool[t], pool[r] = pool[r], pool[t]
+    return pool[:k]
+
+
+SPANS = sorted(
+    {1, 2, MAX_WEIGHT, 2**40 + 3}
+    | {2**k + d for k in (1, 16, 30, 31, 32) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("span", SPANS)
+def test_bulk_uniform_ints_are_the_per_call_stream(span):
+    for seed, lo, count in [(1, 1, 50), (2, -7, 1), (3, 10**12, 7), (4, 0, 0)]:
+        rng, ref = RngStream(seed), random.Random(seed)
+        assert rng.uniform_ints(lo, lo + span - 1, count) == _reference_uniform_ints(
+            ref.getrandbits, lo, lo + span - 1, count
+        )
+        # the next word matches too: nothing was drawn ahead
+        assert rng._bits(32) == ref.getrandbits(32)
+
+
+@pytest.mark.parametrize(
+    "pool_size,k",
+    [(0, 0), (1, 0), (1, 1), (2, 2), (5, 0), (6, 6), (90, 25), (90, 90),
+     (2**16 + 1, 40), (8010, 8010), (8010, 7800)],
+)
+def test_bulk_sample_positions_is_the_list_fisher_yates(pool_size, k):
+    for seed in (0, 1, 2**64 - 1):
+        rng, ref = RngStream(seed), random.Random(seed)
+        assert rng.sample_positions(pool_size, k) == _reference_sample(ref.getrandbits, pool_size, k)
+        assert rng._bits(32) == ref.getrandbits(32)
 
 
 def test_sample_positions_is_a_plain_sample():

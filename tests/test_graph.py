@@ -34,8 +34,20 @@ def test_graph_normalizes_arcs_to_named_tuples():
     arc = Arc(2, 3, 4)
     g = Graph(3, (a for a in [arc, [1, 3, 6]]))  # any iterable of triples
     assert g.arcs == (arc, Arc(1, 3, 6))
-    assert type(g.arcs[1]) is Arc
-    assert g.arcs[0] is arc  # an Arc is kept, not re-wrapped
+    assert all(type(a) is Arc for a in g.arcs)
+    assert (g.src, g.dst, g.wt) == ((2, 1), (3, 3), (4, 6))
+    assert Graph(3, [iter((1, 2, 5))]).arcs == (Arc(1, 2, 5),)  # a triple without len()
+
+
+def test_from_columns_is_graph_of_the_transposed_arcs():
+    g = Graph.from_columns(3, (2, 1), (3, 3), (4, 6))
+    assert g == Graph(3, [(2, 3, 4), (1, 3, 6)])
+    with pytest.raises(MalformedGraphError) as exc:
+        Graph.from_columns(3, (2, 1), (3, 3), (4,))
+    assert str(exc.value) == "columns differ in length: 2, 2, 1"
+    with pytest.raises(MalformedGraphError) as exc:
+        Graph.from_columns(3, (1, 2), (2, 1), (3, -1))
+    assert str(exc.value) == f"arc 2 (2, 1, -1): {WEIGHT_RULE}"
 
 
 def test_matrix_without_arcs():
@@ -142,6 +154,11 @@ NODE_TYPE_RULE = "node indices must be integers"
         (3, [(True, 3, 5)], f"arc 1 (True, 3, 5): {NODE_TYPE_RULE}"),
         (3, [(1, 2, 5), (2, False, 5)], f"arc 2 (2, False, 5): {NODE_TYPE_RULE}"),
         (3, [(2.0, 2, -1)], f"arc 1 (2.0, 2, -1): {NODE_TYPE_RULE}"),
+        # items that are not (i, j, w) triples
+        (3, [(1, 2)], "arc 1: expected an (i, j, w) triple, got (1, 2)"),
+        (3, [(1, 2, 5, 6)], "arc 1: expected an (i, j, w) triple, got (1, 2, 5, 6)"),
+        (3, [5], "arc 1: expected an (i, j, w) triple, got 5"),
+        (3, [(2, 2, 1), (1, 2)], "arc 1 (2, 2, 1): loop arcs are not allowed"),
     ],
 )
 def test_graph_construction_raises_the_exact_text(n, arcs, text):
