@@ -24,8 +24,9 @@ and keeps its top k bits, and ``getrandbits(32*c)`` returns the next c
 words with the first one lowest. So pulling c words at once, where c is
 the number of draws still needed, reads the very words the next c draws
 would read one by one; and since every draw reads at least one word, it
-never reads past the last draw. Draws wider than 32 bits keep the
-one-call-per-draw path.
+never reads past the last draw. Weights are at most MAX_WEIGHT < 2**30,
+so every weight draw fits one word; only a position pool over 2**32 keeps
+the one-call-per-step path.
 """
 
 from __future__ import annotations
@@ -97,13 +98,14 @@ class RngStream:
         return struct.unpack(f"<{count}I", self._bits(32 * count).to_bytes(4 * count, "little"))
 
     def uniform_ints(self, lo: int, hi: int, count: int) -> list[int]:
-        """count draws of uniform_int(lo, hi), consuming the same stream."""
+        """count draws of uniform_int(lo, hi), consuming the same stream.
+        The span hi - lo + 1 must be at most 2**32, one word per draw."""
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         bits = (span - 1).bit_length()
         if bits > 32:
-            return [self.uniform_int(lo, hi) for _ in range(count)]
+            raise ValueError(f"span {span} of [{lo}, {hi}] exceeds 2**32")
         if span == 1:
             return [lo] * count
         drawn: list[int] = []
@@ -117,6 +119,8 @@ class RngStream:
         if not 0 <= k <= pool_size:
             raise ValueError(f"cannot sample {k} of {pool_size}")
         pool = list(range(pool_size))
+        # a pool over 2**32 (n above 65536) draws one call per step; no test
+        # reaches it, since the list pool alone would need over 34 GB
         if (pool_size - 1).bit_length() > 32:
             for t in range(k):
                 r = self.uniform_int(t, pool_size - 1)

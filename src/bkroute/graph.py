@@ -9,11 +9,12 @@ ordinary 0-based sequences.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
 from functools import partial
 from itertools import repeat
-from operator import add, eq, itemgetter, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import NamedTuple
 
 #: Absent-arc marker. IEEE infinity saturates under addition, so no sum of
 #: weights along a sweep can turn it into a finite value.
@@ -52,17 +53,15 @@ class Graph:
 
     Arc k (0-based) runs from node src[k] to node dst[k] with weight wt[k];
     no Arc object exists per arc. `Graph(n, arcs)` takes any iterable of
-    (i, j, w) triples and transposes it; `Graph.from_columns` takes the
-    columns as they are. Both go through the same check, so every Graph
-    that exists holds the invariants: n an int >= 2; i and j ints with
+    (i, j, w) sequences and transposes it; `Graph.from_columns` takes the
+    columns as they are. Both go through the same per-arc check, so every
+    Graph that exists holds the invariants: n an int >= 2; i and j ints with
     1 <= i, j <= n; i != j; no repeated ordered pair; w an int with
     0 <= w <= MAX_WEIGHT. "An int" means exactly int: a bool, or a float
     equal to an int, is refused, since it would not survive a BKSET round
-    trip. The columns are checked in bulk; only when that fails does a loop
-    over the arcs find the first broken one, which raises
-    MalformedGraphError. Arc errors start with "arc k" (1-based position in
-    arcs) so callers can prefix their own context. The duplicate check
-    needs memory proportional to m, not n*n.
+    trip. The first broken arc raises MalformedGraphError; arc errors start
+    with "arc k" (1-based position in arcs) so callers can prefix their own
+    context. The duplicate check needs memory proportional to m, not n*n.
     """
 
     n: int
@@ -70,15 +69,12 @@ class Graph:
     dst: tuple[int, ...]
     wt: tuple[int, ...]
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int, int]] = ()) -> None:
+    def __init__(self, n: int, arcs: Iterable[Sequence[int]] = ()) -> None:
         _check_node_count(n)
         items = list(arcs)
-        try:
-            triples = set(map(len, items)) <= {3}
-        except TypeError:  # an item without a length
-            triples = False
-        if not triples:
-            items = _check_each_arc(n, items)
+        if not all(map(isinstance, items, repeat(tuple))):  # read each item once
+            items = [tuple(a) if isinstance(a, Iterable) else a for a in items]
+        _check_arcs(n, items)
         self._set_columns(n, *(zip(*items) if items else ((), (), ())))
 
     @classmethod
@@ -91,6 +87,7 @@ class Graph:
             raise MalformedGraphError(
                 f"columns differ in length: {len(src)}, {len(dst)}, {len(wt)}"
             )
+        _check_arcs(n, zip(src, dst, wt))
         g = cls.__new__(cls)
         g._set_columns(n, src, dst, wt)
         return g
@@ -98,21 +95,10 @@ class Graph:
     def _set_columns(
         self, n: int, src: Iterable[int], dst: Iterable[int], wt: Iterable[int]
     ) -> None:
-        src, dst, wt = tuple(src), tuple(dst), tuple(wt)
-        m = len(src)
-        if m and not (
-            set(map(type, src)) == set(map(type, dst)) == set(map(type, wt)) == {int}
-            and 1 <= min(src) and max(src) <= n
-            and 1 <= min(dst) and max(dst) <= n
-            and not any(map(eq, src, dst))
-            and 0 <= min(wt) and max(wt) <= MAX_WEIGHT
-            and len(set(map(add, map(mul, src, repeat(n)), dst))) == m
-        ):
-            _check_each_arc(n, zip(src, dst, wt))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "wt", wt)
+        object.__setattr__(self, "src", tuple(src))
+        object.__setattr__(self, "dst", tuple(dst))
+        object.__setattr__(self, "wt", tuple(wt))
 
     @property
     def m(self) -> int:
@@ -136,12 +122,10 @@ def _check_node_count(n: int) -> None:
         raise MalformedGraphError(f"node count must be at least 2, got {n}")
 
 
-def _check_each_arc(n: int, arcs: Iterable) -> list[tuple[int, int, int]]:
-    """The arcs as (i, j, w) tuples, checked one by one in the order the
-    Graph docstring gives the rules; the first broken arc raises
-    MalformedGraphError. This is the slow path, taken only when the bulk
-    check fails or an item is not a sized triple."""
-    triples: list[tuple[int, int, int]] = []
+def _check_arcs(n: int, arcs: Iterable) -> None:
+    """Check the (i, j, w) items one by one, in the order the Graph
+    docstring gives the rules; the first broken arc raises
+    MalformedGraphError."""
     seen: set[int] = set()  # i*n + j, one int per ordered pair once i, j are in range
     for k, a in enumerate(arcs, start=1):
         try:
@@ -162,10 +146,8 @@ def _check_each_arc(n: int, arcs: Iterable) -> list[tuple[int, int, int]]:
             reason = f"duplicate ordered pair ({i}, {j})"
         else:
             seen.add(key)
-            triples.append((i, j, w))
             continue
         raise MalformedGraphError(f"arc {k} ({i}, {j}, {w}): {reason}")
-    return triples
 
 
 #: One row of the sweep view: the 0-based row index i, a gather that reads

@@ -94,9 +94,9 @@ def _reference_sample(bits, pool_size, k):
     return pool[:k]
 
 
-SPANS = sorted(
-    {1, 2, MAX_WEIGHT, 2**40 + 3}
-    | {2**k + d for k in (1, 16, 30, 31, 32) for d in (-1, 0, 1)}
+SPANS = sorted(  # one word per draw holds a span of at most 2**32
+    {1, 2, MAX_WEIGHT}
+    | {2**k + d for k in (1, 16, 30, 31, 32) for d in (-1, 0, 1)} - {2**32 + 1}
 )
 
 
@@ -109,6 +109,11 @@ def test_bulk_uniform_ints_are_the_per_call_stream(span):
         )
         # the next word matches too: nothing was drawn ahead
         assert rng._bits(32) == ref.getrandbits(32)
+
+
+def test_bulk_uniform_ints_refuse_spans_over_one_word():
+    with pytest.raises(ValueError, match="exceeds 2"):
+        RngStream(1).uniform_ints(0, 2**32, 3)  # a span of 2**32 + 1
 
 
 @pytest.mark.parametrize(
