@@ -12,8 +12,6 @@ pyproject.toml keeps this directory out of a plain `pytest` run.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 pytest.importorskip("pytest_benchmark")
@@ -33,26 +31,13 @@ from bkroute import (
 )
 
 
-def random_graph(n: int, m: int, seed: int) -> Graph:
-    """m distinct random arcs with weights 1..100. The generator is not used
-    at large n: its pool of all n*(n-1) positions would take gigabytes."""
-    rnd = random.Random(seed)
-    seen, arcs = set(), []
-    while len(arcs) < m:
-        i, j = rnd.randint(1, n), rnd.randint(1, n)
-        if i != j and (i, j) not in seen:
-            seen.add((i, j))
-            arcs.append((i, j, rnd.randint(1, 100)))
-    return Graph(n, arcs)
-
-
 # One sparse-route-shaped graph (n 50..90, m 100..400, about 4 arcs per
 # row), the densest table1 cell, n=90 with m=7800, and the same sparsity
 # at the n that MAX_WEIGHT is sized for.
 GRAPHS = {
     "sparse-n70-m250": draw_graph(70, 250, RngStream(7)),
     "dense-n90-m7800": draw_graph(90, 7800, RngStream(7)),
-    "sparse-n10000-m40000": random_graph(10**4, 4 * 10**4, 7),
+    "sparse-n10000-m40000": draw_graph(10**4, 4 * 10**4, RngStream(7)),
 }
 
 
@@ -65,7 +50,7 @@ def test_graph_construction(benchmark, graph):
     benchmark(Graph, graph.n, graph.arcs)
 
 
-@pytest.mark.parametrize("name", ["sparse-n70-m250", "dense-n90-m7800"])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_draw_graph(benchmark, name):
     g = GRAPHS[name]
     drawn = benchmark(lambda: draw_graph(g.n, g.m, RngStream(7)))

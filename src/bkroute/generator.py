@@ -25,8 +25,8 @@ words with the first one lowest. So pulling c words at once, where c is
 the number of draws still needed, reads the very words the next c draws
 would read one by one; and since every draw reads at least one word, it
 never reads past the last draw. Weights are at most MAX_WEIGHT < 2**30,
-so every weight draw fits one word; only a position pool over 2**32 keeps
-the one-call-per-step path.
+so every weight draw fits one word; only a Fisher-Yates step whose span
+pool_size - t is over 2**32 draws with one call per step.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ class GenSpec:
     weight_max: int = 100
 
     def validate(self) -> None:
+        for name, value in vars(self).items():  # bool and float are refused too
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.n1 <= self.n2:
             raise ValueError(f"need 2 <= n1 <= n2, got {self.n1}..{self.n2}")
         if not 1 <= self.m1 <= self.m2:
@@ -68,9 +71,7 @@ class GenSpec:
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if not 1 <= self.weight_max <= MAX_WEIGHT:
-            raise ValueError(
-                f"weight_max must be in [1, {MAX_WEIGHT}], got {self.weight_max}"
-            )
+            raise ValueError(f"weight_max must be in [1, {MAX_WEIGHT}], got {self.weight_max}")
 
 
 class RngStream:
@@ -115,30 +116,29 @@ class RngStream:
         return list(map(add, drawn, repeat(lo)))
 
     def sample_positions(self, pool_size: int, k: int) -> list[int]:
-        """k distinct values from range(pool_size), by partial Fisher-Yates."""
+        """k distinct values from range(pool_size), by partial Fisher-Yates
+        that stores only the positions a swap wrote: memory grows with k."""
         if not 0 <= k <= pool_size:
             raise ValueError(f"cannot sample {k} of {pool_size}")
-        pool = list(range(pool_size))
-        # a pool over 2**32 (n above 65536) draws one call per step; no test
-        # reaches it, since the list pool alone would need over 34 GB
-        if (pool_size - 1).bit_length() > 32:
-            for t in range(k):
-                r = self.uniform_int(t, pool_size - 1)
-                pool[t], pool[r] = pool[r], pool[t]
-            return pool[:k]
-        # step t draws from a span of pool_size - t; a span of 1 (the last
-        # step of a full shuffle) draws nothing and swaps t with itself
-        steps = min(k, pool_size - 1)
+        moved: dict[int, int] = {}  # position -> value, once a swap wrote it
+        get = moved.get
+        picked: list[int] = []
         t = 0
-        while t < steps:
-            for word in self._words(steps - t):
+        while t < k:  # step t swaps t with r drawn from [t, pool_size - 1]
+            width = (pool_size - t - 1).bit_length()
+            if 0 < width <= 32:  # one word per draw: pull every step left at once
+                width, words = 32, self._words(min(k, pool_size - 1) - t)
+            else:  # a wider draw takes one call; a span of 1 draws nothing
+                words = (self._bits(width),)
+            for word in words:
                 span = pool_size - t
-                r = word >> (32 - (span - 1).bit_length())
+                r = word >> (width - (span - 1).bit_length())
                 if r < span:
                     r += t
-                    pool[t], pool[r] = pool[r], pool[t]
+                    picked.append(get(r, r))
+                    moved[r] = get(t, t)
                     t += 1
-        return pool[:k]
+        return picked
 
 
 def draw_graph(n: int, m_requested: int, rng: RngStream, weight_max: int = 100) -> Graph:

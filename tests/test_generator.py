@@ -38,12 +38,15 @@ def test_genspec_accepts_sane_bounds():
         dict(weight_max=0),
         dict(weight_max=MAX_WEIGHT + 1),
         dict(weight_max=2**40),
+        dict(weight_max=1.5),
+        dict(n2=4.0),
+        dict(seed=True),
     ],
 )
 def test_genspec_rejects_bad_bounds(kwargs):
     base = dict(n1=2, n2=4, m1=1, m2=5, count=3, seed=1)
     base.update(kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         GenSpec(**base).validate()
 
 
@@ -86,12 +89,14 @@ def _reference_uniform_ints(bits, lo, hi, count):
 
 
 def _reference_sample(bits, pool_size, k):
-    """The frozen partial Fisher-Yates over a list, one draw per step."""
-    pool = list(range(pool_size))
+    """The frozen partial Fisher-Yates over a list, one draw per step. The
+    list is a dict read with .get(i, i): entries never swapped stay implicit,
+    so pools far too large to hold as a list can be checked."""
+    pool = {}
     for t in range(k):
         (r,) = _reference_uniform_ints(bits, t, pool_size - 1, 1)
-        pool[t], pool[r] = pool[r], pool[t]
-    return pool[:k]
+        pool[t], pool[r] = pool.get(r, r), pool.get(t, t)
+    return [pool.get(t, t) for t in range(k)]
 
 
 SPANS = sorted(  # one word per draw holds a span of at most 2**32
@@ -119,7 +124,9 @@ def test_bulk_uniform_ints_refuse_spans_over_one_word():
 @pytest.mark.parametrize(
     "pool_size,k",
     [(0, 0), (1, 0), (1, 1), (2, 2), (5, 0), (6, 6), (90, 25), (90, 90),
-     (2**16 + 1, 40), (8010, 8010), (8010, 7800)],
+     (2**16 + 1, 40), (8010, 8010), (8010, 7800),
+     (2**32 + 3, 8),  # the first 3 steps span over 2**32, the rest one word
+     (70000 * 69999, 40)],
 )
 def test_bulk_sample_positions_is_the_list_fisher_yates(pool_size, k):
     for seed in (0, 1, 2**64 - 1):

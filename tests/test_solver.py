@@ -16,11 +16,13 @@ from bkroute import (
     GenSpec,
     Graph,
     NoRouteError,
+    RngStream,
     bk_accelerated,
     bk_classic,
     bounded_distances,
     brute_force_distance,
     build_cost_matrix,
+    draw_graph,
     extract_route,
     generate_set,
     oracle_distances,
@@ -246,22 +248,29 @@ def test_oracle_and_methods_match_networkx_dijkstra(strategy, data):
 LARGE_N = 10**4
 
 
-def build_within_memory_bound(g: Graph) -> CostMatrix:
-    """build_cost_matrix(g), asserting its traced peak stays under 64 MB."""
+def within_memory_bound(make, *args):
+    """make(*args), asserting its traced peak stays under 64 MB."""
     tracemalloc.start()
     try:
-        mat = build_cost_matrix(g)
+        made = make(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    return mat
+    return made
+
+
+def test_large_draw_is_within_memory_bound():
+    # the generator's memory grows with m, not with its n*(n-1) position pool
+    g = within_memory_bound(draw_graph, LARGE_N, 4 * LARGE_N, RngStream(7))
+    assert (g.n, g.m) == (LARGE_N, 4 * LARGE_N)
 
 
 def test_large_chain_is_exact():
     # every sum MAX_WEIGHT*k stays an exact int; the classic order needs n sweeps
     n = LARGE_N
-    mat = build_within_memory_bound(Graph(n, [(k, k + 1, MAX_WEIGHT) for k in range(1, n)]))
+    chain = Graph(n, [(k, k + 1, MAX_WEIGHT) for k in range(1, n)])
+    mat = within_memory_bound(build_cost_matrix, chain)
     r = bk_accelerated(mat)
     assert r.sweeps == 2
     assert all(type(d) is int for d in r.distances)
@@ -281,7 +290,7 @@ def test_large_random_graph_matches_oracle():
             seen.add((i, j))
             arcs.append((i, j, rnd.randint(0, 100)))
     g = Graph(n, arcs)
-    mat = build_within_memory_bound(g)
+    mat = within_memory_bound(build_cost_matrix, g)
     expected = oracle_distances(g)
     assert sum(d != INF for d in expected) > n // 2  # most nodes reach the target
     assert bk_classic(mat).distances == bk_accelerated(mat).distances == expected
