@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -16,6 +17,7 @@ from bkroute import (
     generate_set,
     generate_set_detailed,
     max_arcs,
+    write_set,
 )
 
 
@@ -232,3 +234,27 @@ def test_generated_graphs_are_always_well_formed(seed):
         assert all(1 <= a.i <= g.n and 1 <= a.j <= g.n and a.i != a.j for a in g.arcs)
         assert all(1 <= a.w <= 100 for a in g.arcs)
         assert g.m <= max_arcs(g.n)
+
+
+# SHA-256 of each written set and its clamp count, recorded when the draw
+# order was frozen. Between them they draw an m whose span is over 2**32,
+# weight_max 1 (no weight draws), MAX_WEIGHT, and a pool over 2**32.
+GOLDEN_SETS = [
+    (GenSpec(10, 30, 1, 200, 50, 7), 4,
+     "9cfb1b7983c74d9e9c6e5f398750604896f4be04ce2b8f5c8a617dce2784fa0c"),
+    (GenSpec(70, 90, 1000, 8010, 4, 5, MAX_WEIGHT), 0,
+     "2619209146714c607ac65b0ed561316bb411f8c400c5d2bdc042f8373a25c4e3"),
+    (GenSpec(2, 3, 1, 10**12, 20, 2**64 - 1, 1), 20,
+     "301aea5ae6828bda44eec29ef539c417b9025804ad45f745b234acd9a6e3424e"),
+    (GenSpec(70000, 70000, 40, 40, 2, 3, MAX_WEIGHT), 0,
+     "e80a7ab560bb3ec5c23126c014a89cc5880f4deb28dbfb8d2686f84074719afd"),
+]
+
+
+@pytest.mark.parametrize("spec,clamped,digest", GOLDEN_SETS)
+def test_generated_set_digest_is_frozen(tmp_path, spec, clamped, digest):
+    built = generate_set_detailed(spec)
+    path = tmp_path / "set.bkset"
+    write_set(built.graphs, spec, path)
+    assert built.clamped == clamped
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
