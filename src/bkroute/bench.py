@@ -16,7 +16,7 @@ import platform
 import time
 from dataclasses import dataclass
 
-from .generator import GenSpec, generate_set
+from .generator import MAX_SEED, GenSpec, generate_set
 from .graph import Graph, build_cost_matrix
 from .oracle import oracle_distances
 from .solver import ConvergenceError, bk_accelerated, bk_classic
@@ -214,8 +214,8 @@ def run_grid(
     """
     if grid not in GRIDS:
         raise ValueError(f"unknown grid {grid!r}; expected one of {sorted(GRIDS)}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not 0 <= seed <= MAX_SEED:  # a bad count is refused by the first cell's spec
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
     rows = []
     for ci, ((n1, n2), (m1, m2)) in enumerate(GRIDS[grid]):
         spec = GenSpec(n1, n2, m1, m2, count, derive_cell_seed(seed, ci))

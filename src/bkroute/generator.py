@@ -18,24 +18,17 @@ exclusively through ``getrandbits``:
   position, then each arc's weight via ``uniform_int(1, weight_max)``.
   Graphs of a set consume the stream sequentially.
 
-Positions and weights are drawn in bulk, with the same result. A
-``getrandbits(k)`` with 1 <= k <= 32 takes exactly one 32-bit MT19937 word
-and keeps its top k bits, and ``getrandbits(32*c)`` returns the next c
-words with the first one lowest. So pulling c words at once, where c is
-the number of draws still needed, reads the very words the next c draws
-would read one by one; and since every draw reads at least one word, it
-never reads past the last draw. Weights are at most MAX_WEIGHT < 2**30,
-so every weight draw fits one word; only a Fisher-Yates step whose span
-pool_size - t is over 2**32 draws with one call per step.
+``RngStream.uniform_int`` is the only code that reads the stream: every
+draw above is one ``uniform_int`` call, and each try of a draw is one
+``getrandbits(k)`` call.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, floordiv, ge, mod, rshift
+from operator import add, floordiv, ge, mod
 
 from .graph import MAX_WEIGHT, Graph, max_arcs
 
@@ -75,8 +68,8 @@ class GenSpec:
 
 
 class RngStream:
-    """Deterministic random stream; the module docstring freezes the draw
-    algorithms built on top of it."""
+    """Deterministic random stream. uniform_int is its one draw: every other
+    draw is built on it, as the module docstring freezes."""
 
     def __init__(self, seed: int):
         self._bits = random.Random(seed).getrandbits
@@ -94,27 +87,6 @@ class RngStream:
             r = self._bits(k)
         return lo + r
 
-    def _words(self, count: int) -> tuple[int, ...]:
-        """The next count 32-bit words of the stream, in stream order."""
-        return struct.unpack(f"<{count}I", self._bits(32 * count).to_bytes(4 * count, "little"))
-
-    def uniform_ints(self, lo: int, hi: int, count: int) -> list[int]:
-        """count draws of uniform_int(lo, hi), consuming the same stream.
-        The span hi - lo + 1 must be at most 2**32, one word per draw."""
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        span = hi - lo + 1
-        bits = (span - 1).bit_length()
-        if bits > 32:
-            raise ValueError(f"span {span} of [{lo}, {hi}] exceeds 2**32")
-        if span == 1:
-            return [lo] * count
-        drawn: list[int] = []
-        while len(drawn) < count:  # each word is one draw; a rejected one is redrawn
-            words = self._words(count - len(drawn))
-            drawn += filter(span.__gt__, map(rshift, words, repeat(32 - bits)))
-        return list(map(add, drawn, repeat(lo)))
-
     def sample_positions(self, pool_size: int, k: int) -> list[int]:
         """k distinct values from range(pool_size), by partial Fisher-Yates
         that stores only the positions a swap wrote: memory grows with k."""
@@ -123,21 +95,10 @@ class RngStream:
         moved: dict[int, int] = {}  # position -> value, once a swap wrote it
         get = moved.get
         picked: list[int] = []
-        t = 0
-        while t < k:  # step t swaps t with r drawn from [t, pool_size - 1]
-            width = (pool_size - t - 1).bit_length()
-            if 0 < width <= 32:  # one word per draw: pull every step left at once
-                width, words = 32, self._words(min(k, pool_size - 1) - t)
-            else:  # a wider draw takes one call; a span of 1 draws nothing
-                words = (self._bits(width),)
-            for word in words:
-                span = pool_size - t
-                r = word >> (width - (span - 1).bit_length())
-                if r < span:
-                    r += t
-                    picked.append(get(r, r))
-                    moved[r] = get(t, t)
-                    t += 1
+        for t in range(k):  # step t swaps t with r drawn from [t, pool_size - 1]
+            r = self.uniform_int(t, pool_size - 1)
+            picked.append(get(r, r))
+            moved[r] = get(t, t)
         return picked
 
 
@@ -152,7 +113,8 @@ def draw_graph(n: int, m_requested: int, rng: RngStream, weight_max: int = 100) 
     src = tuple(map(add, map(floordiv, positions, repeat(n - 1)), repeat(1)))
     r = tuple(map(add, map(mod, positions, repeat(n - 1)), repeat(1)))
     dst = tuple(map(add, r, map(ge, r, src)))
-    return Graph.from_columns(n, src, dst, rng.uniform_ints(1, weight_max, m))
+    wt = [rng.uniform_int(1, weight_max) for _ in range(m)]
+    return Graph.from_columns(n, src, dst, wt)
 
 
 def draw_spec_instance(spec: GenSpec, rng: RngStream) -> tuple[int, int]:

@@ -92,6 +92,20 @@ def _raise_arc_error(line: str | None, at: str) -> NoReturn:
     raise AssertionError(f"{at}: arc line {line!r} is well formed")
 
 
+def _read_text(source) -> str:
+    """The file's text. Bytes that are not UTF-8 make it unsupported when its
+    first line is not the BKSET 1 header, and corrupt otherwise."""
+    with open(source, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        if data.partition(b"\n")[0] != f"{MAGIC} {VERSION}".encode():
+            raise UnsupportedFormatError("not a BKSET file") from None
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise CorruptFileError(f"line {line_no} is not UTF-8 text") from None
+
+
 def read_set(source) -> tuple[GenSpec, list[Graph]]:
     """Parse a BKSET file back into (spec echo, graphs).
 
@@ -99,8 +113,7 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
     version line and CorruptFileError, naming the offending record, for
     everything else, a missing final line feed included.
     """
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    text = _read_text(source)
     if not text:
         raise UnsupportedFormatError("empty file is not a BKSET file")
 

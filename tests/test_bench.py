@@ -166,8 +166,21 @@ def test_run_grid_table2_shape(table2_report):
 def test_run_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_grid("table9", 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
         run_grid("table1", 0, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_grid_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=f"^seed must fit in 64 bits, got {seed}$"):
+        run_grid("table2", 1, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_run_grid_accepts_the_64_bit_seed_bounds(seed):
+    report = run_grid("table2", 1, seed, TimingPolicy(1))
+    assert len(report.rows) == 33
+    assert f"seed={seed} " in report.spec_echo
 
 
 def _dummy_report():

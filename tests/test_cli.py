@@ -89,6 +89,22 @@ def test_verify_missing_file_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize(
+    "data,msg",
+    [
+        (b"BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 1\nG 2 1\n1 2 \xff\n", "line 5 is not UTF-8"),
+        ("BKSET 1\n".encode("utf-16"), "not a BKSET file"),
+    ],
+    ids=["bad-arc-byte", "utf-16"],
+)
+def test_non_utf8_file_is_a_data_error(tmp_path, capsys, command, data, msg):
+    path = tmp_path / "binary.bkset"
+    path.write_bytes(data)
+    assert main([command, "--in", str(path)]) == 1
+    assert msg in capsys.readouterr().err
+
+
 @pytest.fixture()
 def small_set(tmp_path):
     path = tmp_path / "s.bkset"
@@ -147,6 +163,12 @@ def test_table_runs_a_whole_grid(capsys):
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 34
     assert "Aggregate speedup" in captured.err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_table_rejects_a_seed_outside_64_bits(seed, capsys):
+    assert main(["table", "--grid", "table2", "--count", "1", "--seed", seed]) == 2
+    assert "seed must fit in 64 bits" in capsys.readouterr().err
 
 
 def test_table_rejects_unknown_grid():

@@ -101,26 +101,42 @@ def _reference_sample(bits, pool_size, k):
     return [pool.get(t, t) for t in range(k)]
 
 
-SPANS = sorted(  # one word per draw holds a span of at most 2**32
+SPANS = sorted(
     {1, 2, MAX_WEIGHT}
-    | {2**k + d for k in (1, 16, 30, 31, 32) for d in (-1, 0, 1)} - {2**32 + 1}
+    | {2**k + d for k in (1, 16, 30, 31, 32) for d in (-1, 0, 1)}
 )
 
 
 @pytest.mark.parametrize("span", SPANS)
 def test_bulk_uniform_ints_are_the_per_call_stream(span):
+    """A run of uniform_int calls, the way draw_graph draws its weights, is
+    the frozen per-call stream at spans of every word width."""
     for seed, lo, count in [(1, 1, 50), (2, -7, 1), (3, 10**12, 7), (4, 0, 0)]:
         rng, ref = RngStream(seed), random.Random(seed)
-        assert rng.uniform_ints(lo, lo + span - 1, count) == _reference_uniform_ints(
-            ref.getrandbits, lo, lo + span - 1, count
+        assert [rng.uniform_int(lo, lo + span - 1) for _ in range(count)] == (
+            _reference_uniform_ints(ref.getrandbits, lo, lo + span - 1, count)
         )
         # the next word matches too: nothing was drawn ahead
         assert rng._bits(32) == ref.getrandbits(32)
 
 
-def test_bulk_uniform_ints_refuse_spans_over_one_word():
-    with pytest.raises(ValueError, match="exceeds 2"):
-        RngStream(1).uniform_ints(0, 2**32, 3)  # a span of 2**32 + 1
+# weights stop at MAX_WEIGHT < 2**30; 2**29 + 1 is the 30-bit span that rejects most
+@pytest.mark.parametrize("weight_max", [1, 2, 3, 2**16 - 1, 2**16 + 1, 2**29 + 1, MAX_WEIGHT])
+def test_draw_graph_is_the_reference_stream(weight_max):
+    # n=2 and n=10 with m=90 or more are full shuffles; m=200 is clamped
+    for seed, n, m in [(1, 2, 0), (2, 2, 2), (3, 5, 7), (4, 10, 90), (5, 10, 200), (6, 90, 400)]:
+        rng, ref = RngStream(seed), random.Random(seed)
+        g = draw_graph(n, m, rng, weight_max)
+        m = min(m, max_arcs(n))
+        positions = _reference_sample(ref.getrandbits, max_arcs(n), m)
+        weights = _reference_uniform_ints(ref.getrandbits, 1, weight_max, m)
+        arcs = []
+        for p, w in zip(positions, weights):
+            i0, r = divmod(p, n - 1)
+            arcs.append((i0 + 1, (r if r < i0 else r + 1) + 1, w))
+        assert g.arcs == tuple(arcs)
+        # the next word matches too: nothing was drawn ahead
+        assert rng._bits(32) == ref.getrandbits(32)
 
 
 @pytest.mark.parametrize(

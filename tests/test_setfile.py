@@ -104,6 +104,39 @@ def test_empty_file(tmp_path):
         read_set(_write(tmp_path, ""))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        "BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 0\n".encode("utf-16"),
+        b"\xffBKSET 1\n",
+        b"BKSET 1 \xff\n",
+        b"BKSET 2\nSPEC 2 2 1 1 0 100\nCOUNT 0\n\x80",
+    ],
+    ids=["utf-16", "bad-first-byte", "bad-byte-in-header", "version-2"],
+)
+def test_non_utf8_without_the_header_is_unsupported(tmp_path, data):
+    path = tmp_path / "binary.bkset"
+    path.write_bytes(data)
+    with pytest.raises(UnsupportedFormatError, match="^not a BKSET file$"):
+        read_set(path)
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        (b"BKSET 1\n\xff", 2),
+        (b"BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 1\nG 2 1\n1 2 7\xe2\x82\n", 5),
+        (b"BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 1\nG 2 1\n1 2 7\n\xc0\n", 6),
+    ],
+    ids=["spec-line", "cut-sequence", "trailing-line"],
+)
+def test_non_utf8_after_the_header_is_corrupt_at_its_line(tmp_path, data, line):
+    path = tmp_path / "binary.bkset"
+    path.write_bytes(data)
+    with pytest.raises(CorruptFileError, match=f"^line {line} is not UTF-8 text$"):
+        read_set(path)
+
+
 def test_malformed_spec_line(tmp_path):
     with pytest.raises(CorruptFileError, match="SPEC"):
         read_set(_write(tmp_path, "BKSET 1\nSPEC 2 2 1 1\nCOUNT 0\n"))
