@@ -16,7 +16,7 @@ import platform
 import time
 from dataclasses import dataclass
 
-from .generator import MAX_SEED, GenSpec, generate_set
+from .generator import GenSpec, _check_int, generate_set
 from .graph import Graph, build_cost_matrix
 from .oracle import oracle_distances
 from .solver import ConvergenceError, bk_accelerated, bk_classic
@@ -89,6 +89,7 @@ class TimingPolicy:
     repeats: int = 3
 
     def __post_init__(self) -> None:
+        _check_int("repeats", self.repeats)
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
@@ -214,8 +215,8 @@ def run_grid(
     """
     if grid not in GRIDS:
         raise ValueError(f"unknown grid {grid!r}; expected one of {sorted(GRIDS)}")
-    if not 0 <= seed <= MAX_SEED:  # a bad count is refused by the first cell's spec
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    (n1, n2), (m1, m2) = GRIDS[grid][0]
+    GenSpec(n1, n2, m1, m2, count, seed).validate()  # cell specs get derived seeds
     rows = []
     for ci, ((n1, n2), (m1, m2)) in enumerate(GRIDS[grid]):
         spec = GenSpec(n1, n2, m1, m2, count, derive_cell_seed(seed, ci))

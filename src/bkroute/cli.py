@@ -57,9 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="arc count bounds; clamped per graph to n*(n-1)")
     gen.add_argument("--count", type=int, required=True, help="number of graphs")
     gen.add_argument("--seed", type=int, required=True, help="64-bit seed")
-    gen.add_argument("--weight-max", type=int, default=100,
+    gen.add_argument("--weight-max", type=int, default=GenSpec.weight_max,
                      help=f"weights are uniform in 1..WEIGHT_MAX, at most {MAX_WEIGHT} "
-                          "(default 100)")
+                          "(default %(default)s)")
     gen.add_argument("--out", required=True, help="destination file")
     gen.set_defaults(func=_cmd_generate)
 
@@ -70,23 +70,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="time both solvers over a stored set")
     ben.add_argument("--in", dest="infile", required=True, help="BKSET file")
-    ben.add_argument("--repeats", type=int, default=3,
-                     help="timing repeats, minimum is reported (default 3)")
-    ben.add_argument("--format", choices=("md", "csv"), default="md")
-    ben.add_argument("--out", default=None, help="write the report here instead of stdout")
+    _add_report_options(ben)
     ben.set_defaults(func=_cmd_bench)
 
     tab = sub.add_parser("table", help="generate, verify, and time a full grid")
     tab.add_argument("--grid", choices=tuple(GRIDS), required=True)
     tab.add_argument("--count", type=int, required=True, help="graphs per cell")
     tab.add_argument("--seed", type=int, required=True, help="64-bit master seed")
-    tab.add_argument("--repeats", type=int, default=3,
-                     help="timing repeats, minimum is reported (default 3)")
-    tab.add_argument("--format", choices=("md", "csv"), default="md")
-    tab.add_argument("--out", default=None, help="write the report here instead of stdout")
+    _add_report_options(tab)
     tab.set_defaults(func=_cmd_table)
 
     return parser
+
+
+def _add_report_options(sub: argparse.ArgumentParser) -> None:
+    """The options bench and table share, after their own."""
+    sub.add_argument("--repeats", type=int, default=TimingPolicy.repeats,
+                     help="timing repeats, minimum is reported (default %(default)s)")
+    sub.add_argument("--format", choices=("md", "csv"), default="md")
+    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

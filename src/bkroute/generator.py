@@ -41,6 +41,13 @@ class GenSpec:
 
     A requested arc count above n*(n-1) is legal and is clamped per graph
     at draw time.
+
+    `validate` owns the rules of every field. `bench.run_grid` reaches its
+    count and seed rules by validating a spec with the master seed, the
+    integer rule `_check_int` also checks `TimingPolicy.repeats`, and the
+    weight_max rule `_check_weight_max` also guards `draw_graph`. One
+    graph's node count rule is `graph.max_arcs`. The weight_max default is
+    written only here; `draw_graph` and the CLI read it from this class.
     """
 
     n1: int
@@ -52,9 +59,8 @@ class GenSpec:
     weight_max: int = 100
 
     def validate(self) -> None:
-        for name, value in vars(self).items():  # bool and float are refused too
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, value in vars(self).items():
+            _check_int(name, value)
         if not 2 <= self.n1 <= self.n2:
             raise ValueError(f"need 2 <= n1 <= n2, got {self.n1}..{self.n2}")
         if not 1 <= self.m1 <= self.m2:
@@ -63,8 +69,18 @@ class GenSpec:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if not 1 <= self.weight_max <= MAX_WEIGHT:
-            raise ValueError(f"weight_max must be in [1, {MAX_WEIGHT}], got {self.weight_max}")
+        _check_weight_max(self.weight_max)
+
+
+def _check_int(name: str, value: object) -> None:
+    if type(value) is not int:  # bool and float are refused too
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_weight_max(weight_max: int) -> None:
+    _check_int("weight_max", weight_max)
+    if not 1 <= weight_max <= MAX_WEIGHT:
+        raise ValueError(f"weight_max must be in [1, {MAX_WEIGHT}], got {weight_max}")
 
 
 class RngStream:
@@ -102,9 +118,16 @@ class RngStream:
         return picked
 
 
-def draw_graph(n: int, m_requested: int, rng: RngStream, weight_max: int = 100) -> Graph:
+def draw_graph(
+    n: int, m_requested: int, rng: RngStream, weight_max: int = GenSpec.weight_max
+) -> Graph:
     """One random graph on n nodes: min(m_requested, n*(n-1)) arcs sampled
-    uniformly without replacement, weights uniform integers in 1..weight_max."""
+    uniformly without replacement, weights uniform integers in 1..weight_max.
+
+    n (by `graph.max_arcs`) and weight_max (by GenSpec's rule) are checked
+    before anything is drawn, so a bad value leaves the stream untouched.
+    """
+    _check_weight_max(weight_max)
     pool = max_arcs(n)
     m = min(m_requested, pool)
     positions = rng.sample_positions(pool, m)
@@ -141,9 +164,10 @@ def generate_set_detailed(spec: GenSpec) -> GeneratedSet:
     clamped = 0
     for _ in range(spec.count):
         n, m_requested = draw_spec_instance(spec, rng)
-        if m_requested > max_arcs(n):
+        g = draw_graph(n, m_requested, rng, spec.weight_max)
+        if g.m < m_requested:
             clamped += 1
-        graphs.append(draw_graph(n, m_requested, rng, spec.weight_max))
+        graphs.append(g)
     return GeneratedSet(graphs, clamped)
 
 

@@ -20,8 +20,8 @@ from typing import NamedTuple
 #: weights along a sweep can turn it into a finite value.
 INF: float = math.inf
 
-#: Largest admissible finite arc weight. The generator emits weights <= 100;
-#: the headroom keeps every path sum exactly representable even at n = 10**4.
+#: Largest admissible finite arc weight, far above the generator's default
+#: weight_max; every path sum stays exactly representable even at n = 10**4.
 MAX_WEIGHT = 10**9
 
 #: Extended weight: finite values are non-negative ints, the only float is INF.
@@ -33,9 +33,9 @@ class MalformedGraphError(ValueError):
 
 
 def max_arcs(n: int) -> int:
-    """Number of ordered node pairs without loops, n*(n-1)."""
-    if n < 2:
-        raise ValueError(f"node count must be at least 2, got {n}")
+    """Number of ordered node pairs without loops, n*(n-1). n must be a
+    node count a Graph admits."""
+    _check_node_count(n)
     return n * (n - 1)
 
 

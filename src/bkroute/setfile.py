@@ -79,16 +79,28 @@ def _as_int(token: str, what: str, where: str) -> int:
     return value
 
 
+def _int_fields(
+    line: str, key: str, names: Sequence[str], where: str, malformed: str
+) -> list[int]:
+    """The fields of the line `key f1 f2 ...` (an arc line has no key), one
+    canonical decimal integer per name; CorruptFileError(malformed) if the
+    key or the field count is wrong."""
+    tok = line.split(" ")
+    if key:
+        if tok[0] != key:
+            raise CorruptFileError(malformed)
+        del tok[0]
+    if len(tok) != len(names):
+        raise CorruptFileError(malformed)
+    return [_as_int(token, what, where) for token, what in zip(tok, names)]
+
+
 def _raise_arc_error(line: str | None, at: str) -> NoReturn:
     """Raise the CorruptFileError for an arc line (None past the end of the
     file) that is not three canonical decimal integers."""
     if line is None:
         raise CorruptFileError(f"unexpected end of file while reading {at}")
-    tok = line.split(" ")
-    if len(tok) != 3:
-        raise CorruptFileError(f"{at}: expected 'i j w', got {line!r}")
-    for token, what in zip(tok, _ARC_FIELDS):
-        _as_int(token, what, at)
+    _int_fields(line, "", _ARC_FIELDS, at, f"{at}: expected 'i j w', got {line!r}")
     raise AssertionError(f"{at}: arc line {line!r} is well formed")
 
 
@@ -137,18 +149,13 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
         pos = end + 1
         return line
 
-    spec_tok = next_line("SPEC line").split(" ")
-    if len(spec_tok) != 7 or spec_tok[0] != "SPEC":
-        raise CorruptFileError("malformed SPEC line")
-    n1, n2, m1, m2, seed, weight_max = (
-        _as_int(t, f, "SPEC line")
-        for t, f in zip(spec_tok[1:], ("n1", "n2", "m1", "m2", "seed", "weight_max"))
+    n1, n2, m1, m2, seed, weight_max = _int_fields(
+        next_line("SPEC line"), "SPEC", ("n1", "n2", "m1", "m2", "seed", "weight_max"),
+        "SPEC line", "malformed SPEC line",
     )
-
-    count_tok = next_line("COUNT line").split(" ")
-    if len(count_tok) != 2 or count_tok[0] != "COUNT":
-        raise CorruptFileError("malformed COUNT line")
-    count = _as_int(count_tok[1], "count", "COUNT line")
+    (count,) = _int_fields(
+        next_line("COUNT line"), "COUNT", ("count",), "COUNT line", "malformed COUNT line"
+    )
     if count < 0:
         raise CorruptFileError(f"negative count {count}")
 
@@ -156,11 +163,10 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
     for gi in range(1, count + 1):
         where = f"graph {gi}"
         header = next_line(where)
-        g_tok = header.split(" ")
-        if len(g_tok) != 3 or g_tok[0] != "G":
-            raise CorruptFileError(f"{where}: malformed record header {header!r}")
-        n = _as_int(g_tok[1], "node count", where)
-        m = _as_int(g_tok[2], "arc count", where)
+        n, m = _int_fields(
+            header, "G", ("node count", "arc count"), where,
+            f"{where}: malformed record header {header!r}",
+        )
         if m < 0:
             raise CorruptFileError(f"{where}: negative arc count {m}")
         end = _ARC_LINES.match(text, pos).end()

@@ -159,24 +159,20 @@ def extract_route(a: CostMatrix, distances: Sequence[Weight]) -> Route:
 
     tried = [False] * n
     tried[0] = True
-    path = [0]  # 0-based nodes from node 1
-    hops = [0]  # per path entry, the weight of the arc into it
-    untried = [tight_arcs(0)]  # per path entry, its tight arcs not yet tried
-    while path[-1] != n - 1:
-        for j, w in untried[-1]:
+    # the path from node 1: (0-based node, weight of the arc into it, its
+    # tight arcs not yet tried)
+    path = [(0, 0, tight_arcs(0))]
+    while path[-1][0] != n - 1:
+        for j, w in path[-1][2]:
             if not tried[j]:
                 break
         else:
             path.pop()
-            hops.pop()
-            untried.pop()
             if not path:
                 raise ValueError(
                     "no consistent successor from node 1; vector is not a fixed point"
                 )
             continue
         tried[j] = True
-        path.append(j)
-        hops.append(w)
-        untried.append(tight_arcs(j))
-    return Route(tuple(k + 1 for k in path), sum(hops))
+        path.append((j, w, tight_arcs(j)))
+    return Route(tuple(k + 1 for k, _, _ in path), sum(w for _, w, _ in path))

@@ -88,6 +88,12 @@ def test_timing_policy_rejects_nonpositive_repeats():
         TimingPolicy(0)
 
 
+@pytest.mark.parametrize("repeats", [1.5, True])
+def test_timing_policy_rejects_a_repeats_that_is_not_an_int(repeats):
+    with pytest.raises(ValueError, match=f"^repeats must be an integer, got {repeats}$"):
+        TimingPolicy(repeats)
+
+
 def test_time_solver_chain_counters():
     t_classic = time_solver([CHAIN], "classic", TimingPolicy(2))
     t_accel = time_solver([CHAIN], "accelerated", TimingPolicy(2))
@@ -143,6 +149,11 @@ def test_verify_equivalence_on_seeded_set():
     assert summary.mismatched == ()
 
 
+def test_verify_equivalence_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="^graph set is empty$"):
+        verify_equivalence([])
+
+
 def test_run_grid_table1_shape(table1_report):
     assert len(table1_report.rows) == 45
     assert all(r.mismatches == 0 for r in table1_report.rows)
@@ -174,6 +185,27 @@ def test_run_grid_rejects_bad_arguments():
 def test_run_grid_rejects_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=f"^seed must fit in 64 bits, got {seed}$"):
         run_grid("table2", 1, seed)
+
+
+@pytest.mark.parametrize(
+    "count,seed,message",
+    [
+        (1, 1.5, "seed must be an integer, got 1.5"),
+        (1, True, "seed must be an integer, got True"),
+        (1.5, 1, "count must be an integer, got 1.5"),
+        (0, -1, "count must be >= 1, got 0"),
+    ],
+)
+def test_run_grid_checks_count_and_seed_before_any_cell(monkeypatch, count, seed, message):
+    import bkroute.bench as bench_mod
+
+    def no_cell(spec):
+        raise AssertionError(f"a cell was generated: {spec}")
+
+    monkeypatch.setattr(bench_mod, "generate_set", no_cell)
+    with pytest.raises(ValueError) as exc:
+        run_grid("table2", count, seed)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+import bkroute.bench
+import bkroute.cli
+from bkroute import UndefinedSpeedupError
 from bkroute.cli import main, parse_range
 
 
@@ -68,6 +72,34 @@ def test_verify_prints_sample_and_tally(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(3, 2, 1, 0)" in out
     assert "verified 1 graphs: 0 mismatches" in out
+
+
+def test_verify_reports_the_mismatched_graphs(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "three.bkset"
+    path.write_text(
+        "BKSET 1\nSPEC 2 4 1 3 0 100\nCOUNT 3\n"
+        "G 2 1\n1 2 5\nG 3 2\n1 2 1\n2 3 1\nG 4 3\n1 2 1\n2 3 1\n3 4 1\n"
+    )
+    solve = bkroute.bench.bk_accelerated
+
+    def perturbed(mat):  # graph 2 is the only one with 3 nodes
+        result = solve(mat)
+        if mat.n == 3:  # the target's distance is 0 in every true solution
+            return dataclasses.replace(result, distances=result.distances[:-1] + (1,))
+        return result
+
+    monkeypatch.setattr(bkroute.bench, "bk_accelerated", perturbed)
+    assert main(["verify", "--in", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "verified 3 graphs: 1 mismatches at graphs [2]"
+    )
+
+
+def test_verify_empty_set_passes(tmp_path, capsys):
+    path = tmp_path / "empty.bkset"
+    path.write_text("BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 0\n")
+    assert main(["verify", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "verified 0 graphs: 0 mismatches\n"
 
 
 def test_verify_corrupt_file_is_a_data_error(tmp_path, capsys):
@@ -136,6 +168,23 @@ def test_bench_csv_stdout_stays_machine_readable(small_set, capsys):
     # the speedup note must not pollute the CSV stream
     assert "Aggregate speedup" not in captured.out
     assert "Aggregate speedup" in captured.err
+
+
+def test_bench_without_a_defined_speedup_prints_only_the_table(
+    small_set, capsys, monkeypatch
+):
+    def undefined(report):
+        raise UndefinedSpeedupError("total classic time is zero")
+
+    monkeypatch.setattr(bkroute.cli, "aggregate_speedup", undefined)
+    assert main(["bench", "--in", str(small_set), "--format", "md"]) == 0
+    out = capsys.readouterr().out
+    assert "| n | m | t_BK | t_BKaccelerat |" in out
+    assert "Aggregate speedup" not in out
+    assert main(["bench", "--in", str(small_set), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    assert captured.err == ""
 
 
 def test_bench_writes_report_file(small_set, tmp_path, capsys):

@@ -191,6 +191,24 @@ def test_weight_ceiling_is_honored():
     assert {a.w for a in g.arcs} == {1}
 
 
+@pytest.mark.parametrize(
+    "n,weight_max,message",
+    [
+        (5, 0, r"^weight_max must be in \[1, 1000000000\], got 0$"),
+        (5, 2**30, r"^weight_max must be in \[1, 1000000000\], got 1073741824$"),
+        (5, 1.5, r"^weight_max must be an integer, got 1.5$"),
+        (5, True, r"^weight_max must be an integer, got True$"),
+        (2.5, 100, r"^node count must be an integer, got 2.5$"),
+        (1, 100, r"^node count must be at least 2, got 1$"),
+    ],
+)
+def test_draw_graph_checks_its_arguments_before_drawing(n, weight_max, message):
+    rng = RngStream(1)
+    with pytest.raises(ValueError, match=message):
+        draw_graph(n, 3, rng, weight_max)
+    assert rng._bits(32) == random.Random(1).getrandbits(32)
+
+
 def test_draw_spec_instance_with_fixed_bounds():
     spec = GenSpec(50, 50, 30, 30, 1, 0)
     assert draw_spec_instance(spec, RngStream(0)) == (50, 30)

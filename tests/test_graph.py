@@ -27,6 +27,23 @@ def test_max_arcs_rejects_small_n(n):
         max_arcs(n)
 
 
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (1, "node count must be at least 2, got 1"),
+        (2.5, "node count must be an integer, got 2.5"),
+        (True, "node count must be an integer, got True"),
+    ],
+)
+def test_max_arcs_has_the_graph_node_count_rule(n, message):
+    with pytest.raises(ValueError) as exc:
+        max_arcs(n)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        Graph(n)
+    assert str(exc.value) == message
+
+
 def test_graph_normalizes_arcs_to_named_tuples():
     g = Graph(3, [(1, 2, 5)])
     assert g.arcs == (Arc(1, 2, 5),)
