@@ -25,26 +25,20 @@ from .generator import (
     GenSpec,
     RngStream,
     draw_graph,
-    draw_spec_instance,
     generate_set,
     generate_set_detailed,
 )
 from .graph import (
     INF,
+    MAX_NODES,
     MAX_WEIGHT,
-    Arc,
     CostMatrix,
     Graph,
     MalformedGraphError,
     build_cost_matrix,
     max_arcs,
 )
-from .oracle import (
-    SizeLimitError,
-    bounded_distances,
-    brute_force_distance,
-    oracle_distances,
-)
+from .oracle import oracle_distances
 from .setfile import CorruptFileError, UnsupportedFormatError, read_set, write_set
 from .solver import (
     ConvergenceError,
@@ -59,8 +53,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF",
+    "MAX_NODES",
     "MAX_WEIGHT",
-    "Arc",
     "BenchReport",
     "BenchRow",
     "ConvergenceError",
@@ -74,7 +68,6 @@ __all__ = [
     "REPORT_COLUMNS",
     "RngStream",
     "Route",
-    "SizeLimitError",
     "TABLE1_CELLS",
     "TABLE2_CELLS",
     "TimingPolicy",
@@ -83,12 +76,9 @@ __all__ = [
     "aggregate_speedup",
     "bk_accelerated",
     "bk_classic",
-    "bounded_distances",
-    "brute_force_distance",
     "build_cost_matrix",
     "derive_cell_seed",
     "draw_graph",
-    "draw_spec_instance",
     "emit_table",
     "extract_route",
     "generate_set",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add, floordiv, ge, mod
 
-from .graph import MAX_WEIGHT, Graph, max_arcs
+from .graph import MAX_NODES, MAX_WEIGHT, Graph, max_arcs
 
 MAX_SEED = 2**64 - 1
 
@@ -44,8 +44,9 @@ class GenSpec:
 
     `validate` owns the rules of every field. `bench.run_grid` reaches its
     count and seed rules by validating a spec with the master seed, the
-    integer rule `_check_int` also checks `TimingPolicy.repeats`, and the
-    weight_max rule `_check_weight_max` also guards `draw_graph`. One
+    integer rule `_check_int` also checks `TimingPolicy.repeats` and
+    `draw_graph`'s m_requested, and the weight_max rule `_check_weight_max`
+    also guards `draw_graph`. n2 is bounded by `graph.MAX_NODES`; one
     graph's node count rule is `graph.max_arcs`. The weight_max default is
     written only here; `draw_graph` and the CLI read it from this class.
     """
@@ -63,6 +64,8 @@ class GenSpec:
             _check_int(name, value)
         if not 2 <= self.n1 <= self.n2:
             raise ValueError(f"need 2 <= n1 <= n2, got {self.n1}..{self.n2}")
+        if self.n2 > MAX_NODES:
+            raise ValueError(f"n2 must be at most {MAX_NODES}, got {self.n2}")
         if not 1 <= self.m1 <= self.m2:
             raise ValueError(f"need 1 <= m1 <= m2, got {self.m1}..{self.m2}")
         if self.count < 1:
@@ -124,10 +127,14 @@ def draw_graph(
     """One random graph on n nodes: min(m_requested, n*(n-1)) arcs sampled
     uniformly without replacement, weights uniform integers in 1..weight_max.
 
-    n (by `graph.max_arcs`) and weight_max (by GenSpec's rule) are checked
-    before anything is drawn, so a bad value leaves the stream untouched.
+    n (by `graph.max_arcs`), m_requested (an int >= 0; 0 draws no arc) and
+    weight_max (by GenSpec's rule) are checked before anything is drawn, so
+    a bad value leaves the stream untouched.
     """
     _check_weight_max(weight_max)
+    _check_int("m_requested", m_requested)
+    if m_requested < 0:
+        raise ValueError(f"m_requested must be >= 0, got {m_requested}")
     pool = max_arcs(n)
     m = min(m_requested, pool)
     positions = rng.sample_positions(pool, m)
@@ -138,14 +145,6 @@ def draw_graph(
     dst = tuple(map(add, r, map(ge, r, src)))
     wt = [rng.uniform_int(1, weight_max) for _ in range(m)]
     return Graph.from_columns(n, src, dst, wt)
-
-
-def draw_spec_instance(spec: GenSpec, rng: RngStream) -> tuple[int, int]:
-    """Draw (n, requested m) for one graph. n comes first; m is clamped
-    later, at draw time, so the stream layout never depends on n."""
-    n = rng.uniform_int(spec.n1, spec.n2)
-    m = rng.uniform_int(spec.m1, spec.m2)
-    return n, m
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,9 @@ def generate_set_detailed(spec: GenSpec) -> GeneratedSet:
     graphs: list[Graph] = []
     clamped = 0
     for _ in range(spec.count):
-        n, m_requested = draw_spec_instance(spec, rng)
+        # m is drawn from m1..m2 whatever n is; draw_graph clamps it
+        n = rng.uniform_int(spec.n1, spec.n2)
+        m_requested = rng.uniform_int(spec.m1, spec.m2)
         g = draw_graph(n, m_requested, rng, spec.weight_max)
         if g.m < m_requested:
             clamped += 1

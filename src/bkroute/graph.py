@@ -11,18 +11,21 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
-from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 #: Absent-arc marker. IEEE infinity saturates under addition, so no sum of
 #: weights along a sweep can turn it into a finite value.
 INF: float = math.inf
 
 #: Largest admissible finite arc weight, far above the generator's default
-#: weight_max; every path sum stays exactly representable even at n = 10**4.
+#: weight_max.
 MAX_WEIGHT = 10**9
+
+#: Largest admissible node count. It bounds what a BKSET record header can
+#: make the tools allocate, and keeps every path sum below
+#: MAX_WEIGHT * MAX_NODES < 2**53, exact even as a float64.
+MAX_NODES = 10**5
 
 #: Extended weight: finite values are non-negative ints, the only float is INF.
 Weight = int | float
@@ -39,23 +42,15 @@ def max_arcs(n: int) -> int:
     return n * (n - 1)
 
 
-class Arc(NamedTuple):
-    """Directed arc from node i to node j with finite weight w (1-based nodes)."""
-
-    i: int
-    j: int
-    w: int
-
-
 @dataclass(frozen=True, init=False)
 class Graph:
     """Node count plus a duplicate-free arc list, held as three int columns.
 
-    Arc k (0-based) runs from node src[k] to node dst[k] with weight wt[k];
-    no Arc object exists per arc. `Graph(n, arcs)` takes any iterable of
-    (i, j, w) sequences and transposes it; `Graph.from_columns` takes the
-    columns as they are. Both go through the same per-arc check, so every
-    Graph that exists holds the invariants: n an int >= 2; i and j ints with
+    Arc k (0-based) runs from node src[k] to node dst[k] with weight wt[k].
+    `Graph(n, arcs)` takes any iterable of (i, j, w) sequences and
+    transposes it; `Graph.from_columns` takes the columns as they are. Both
+    go through the same per-arc check, so every Graph that exists holds the
+    invariants: n an int with 2 <= n <= MAX_NODES; i and j ints with
     1 <= i, j <= n; i != j; no repeated ordered pair; w an int with
     0 <= w <= MAX_WEIGHT. "An int" means exactly int: a bool, or a float
     equal to an int, is refused, since it would not survive a BKSET round
@@ -104,22 +99,14 @@ class Graph:
     def m(self) -> int:
         return len(self.src)
 
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        """The arcs as Arc triples, built on each access from the columns."""
-        return tuple(map(_arc, zip(self.src, self.dst, self.wt)))
-
-
-#: Arc from an (i, j, w) tuple: what Arc(i, j, w) returns, without the
-#: Python-level __new__ that NamedTuple adds.
-_arc = partial(tuple.__new__, Arc)
-
 
 def _check_node_count(n: int) -> None:
     if type(n) is not int:
         raise MalformedGraphError(f"node count must be an integer, got {n!r}")
     if n < 2:
         raise MalformedGraphError(f"node count must be at least 2, got {n}")
+    if n > MAX_NODES:
+        raise MalformedGraphError(f"node count must be at most {MAX_NODES}, got {n}")
 
 
 def _check_arcs(n: int, arcs: Iterable) -> None:

@@ -58,7 +58,6 @@ class SolveResult:
 
     distances: tuple[Weight, ...]
     sweeps: int
-    method: str
 
     @property
     def relaxations(self) -> int:
@@ -94,7 +93,6 @@ def _bottom_up(view: View, v: list[Weight]) -> list[Weight] | None:
 def _solve(
     a: CostMatrix,
     sweep_pass: Callable[[View, list[Weight]], list[Weight] | None],
-    method: str,
     trace: list[tuple[Weight, ...]] | None,
 ) -> SolveResult:
     n = a.n
@@ -106,7 +104,7 @@ def _solve(
         if trace is not None:
             trace.append(tuple(v if new is None else new))
         if new is None:
-            return SolveResult(tuple(v), sweep, method)
+            return SolveResult(tuple(v), sweep)
         v = new
     raise ConvergenceError(
         f"no fixed point within {n} sweeps; the matrix violates its invariants"
@@ -121,7 +119,7 @@ def bk_classic(
     ``trace``, when given a list, receives the vector snapshot after every
     executed sweep.
     """
-    return _solve(a, _simultaneous, "classic", trace)
+    return _solve(a, _simultaneous, trace)
 
 
 def bk_accelerated(
@@ -131,7 +129,7 @@ def bk_accelerated(
 
     Returns the same distances as bk_classic, in at most as many sweeps.
     """
-    return _solve(a, _bottom_up, "accelerated", trace)
+    return _solve(a, _bottom_up, trace)
 
 
 def extract_route(a: CostMatrix, distances: Sequence[Weight]) -> Route:

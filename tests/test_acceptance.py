@@ -17,7 +17,6 @@ from bkroute import (
     GenSpec,
     bk_accelerated,
     bk_classic,
-    brute_force_distance,
     build_cost_matrix,
     derive_cell_seed,
     extract_route,
@@ -27,7 +26,7 @@ from bkroute import (
     write_set,
 )
 from bkroute.cli import main
-from helpers import CHAIN
+from helpers import CHAIN, brute_force_distance
 
 SEED = 7
 COUNT_PER_CELL = 10

@@ -53,6 +53,17 @@ def test_generate_rejects_weight_max_above_the_graph_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_rejects_a_node_bound_above_max_nodes(tmp_path, capsys):
+    out = tmp_path / "x.bkset"
+    rc = main(
+        ["generate", "--n", "2..100001", "--m", "1..2", "--count", "1", "--seed", "1",
+         "--out", str(out)]
+    )
+    assert rc == 2
+    assert "n2 must be at most 100000, got 100001" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_range_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(
@@ -135,6 +146,14 @@ def test_non_utf8_file_is_a_data_error(tmp_path, capsys, command, data, msg):
     path.write_bytes(data)
     assert main([command, "--in", str(path)]) == 1
     assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_a_record_claiming_too_many_nodes_is_a_data_error(tmp_path, capsys, command):
+    path = tmp_path / "huge.bkset"
+    path.write_text("BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 1\nG 1000000 0\n")
+    assert main([command, "--in", str(path)]) == 1
+    assert "error: graph 1, node count must be at most 100000" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkroute import (
+    MAX_NODES,
     MAX_WEIGHT,
     GenSpec,
     RngStream,
     draw_graph,
-    draw_spec_instance,
     generate_set,
     generate_set_detailed,
     max_arcs,
@@ -25,6 +25,7 @@ def test_genspec_accepts_sane_bounds():
     GenSpec(2, 4, 1, 5, 3, 1).validate()
     GenSpec(90, 90, 8010, 8010, 1, 2**64 - 1).validate()
     GenSpec(2, 4, 1, 5, 3, 1, MAX_WEIGHT).validate()
+    GenSpec(2, MAX_NODES, 1, 5, 3, 1).validate()
 
 
 @pytest.mark.parametrize(
@@ -43,6 +44,7 @@ def test_genspec_accepts_sane_bounds():
         dict(weight_max=1.5),
         dict(n2=4.0),
         dict(seed=True),
+        dict(n2=MAX_NODES + 1),
     ],
 )
 def test_genspec_rejects_bad_bounds(kwargs):
@@ -134,7 +136,7 @@ def test_draw_graph_is_the_reference_stream(weight_max):
         for p, w in zip(positions, weights):
             i0, r = divmod(p, n - 1)
             arcs.append((i0 + 1, (r if r < i0 else r + 1) + 1, w))
-        assert g.arcs == tuple(arcs)
+        assert list(zip(g.src, g.dst, g.wt)) == arcs
         # the next word matches too: nothing was drawn ahead
         assert rng._bits(32) == ref.getrandbits(32)
 
@@ -171,56 +173,56 @@ def test_draw_graph_shape_and_weights():
     g = draw_graph(10, 40, RngStream(3))
     assert g.n == 10
     assert g.m == 40
-    pairs = [(a.i, a.j) for a in g.arcs]
+    pairs = list(zip(g.src, g.dst))
     assert len(set(pairs)) == len(pairs)
-    assert all(a.i != a.j for a in g.arcs)
-    assert all(1 <= a.w <= 100 for a in g.arcs)
+    assert all(i != j for i, j in pairs)
+    assert all(1 <= w <= 100 for w in g.wt)
 
 
 def test_draw_graph_clamps_to_complete():
     g = draw_graph(10, 800, RngStream(1))
     assert g.m == max_arcs(10) == 90
     g3 = draw_graph(3, 6, RngStream(2))
-    assert sorted((a.i, a.j) for a in g3.arcs) == [
+    assert sorted(zip(g3.src, g3.dst)) == [
         (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2),
     ]
 
 
 def test_weight_ceiling_is_honored():
     g = draw_graph(5, 20, RngStream(8), weight_max=1)
-    assert {a.w for a in g.arcs} == {1}
+    assert set(g.wt) == {1}
 
 
 @pytest.mark.parametrize(
-    "n,weight_max,message",
+    "n,weight_max,message,m",  # m last, so the earlier cases keep their ids
     [
-        (5, 0, r"^weight_max must be in \[1, 1000000000\], got 0$"),
-        (5, 2**30, r"^weight_max must be in \[1, 1000000000\], got 1073741824$"),
-        (5, 1.5, r"^weight_max must be an integer, got 1.5$"),
-        (5, True, r"^weight_max must be an integer, got True$"),
-        (2.5, 100, r"^node count must be an integer, got 2.5$"),
-        (1, 100, r"^node count must be at least 2, got 1$"),
+        (5, 0, r"^weight_max must be in \[1, 1000000000\], got 0$", 3),
+        (5, 2**30, r"^weight_max must be in \[1, 1000000000\], got 1073741824$", 3),
+        (5, 1.5, r"^weight_max must be an integer, got 1.5$", 3),
+        (5, True, r"^weight_max must be an integer, got True$", 3),
+        (2.5, 100, r"^node count must be an integer, got 2.5$", 3),
+        (1, 100, r"^node count must be at least 2, got 1$", 3),
+        (5, 100, r"^m_requested must be an integer, got 2.5$", 2.5),
+        (5, 100, r"^m_requested must be >= 0, got -1$", -1),
+        (5, 100, r"^m_requested must be an integer, got True$", True),
     ],
 )
-def test_draw_graph_checks_its_arguments_before_drawing(n, weight_max, message):
+def test_draw_graph_checks_its_arguments_before_drawing(n, weight_max, message, m):
     rng = RngStream(1)
     with pytest.raises(ValueError, match=message):
-        draw_graph(n, 3, rng, weight_max)
+        draw_graph(n, m, rng, weight_max)
     assert rng._bits(32) == random.Random(1).getrandbits(32)
 
 
-def test_draw_spec_instance_with_fixed_bounds():
-    spec = GenSpec(50, 50, 30, 30, 1, 0)
-    assert draw_spec_instance(spec, RngStream(0)) == (50, 30)
+def test_generate_set_with_fixed_bounds():
+    (g,) = generate_set(GenSpec(50, 50, 30, 30, 1, 0))
+    assert (g.n, g.m) == (50, 30)
 
 
-def test_draw_spec_instance_stays_in_bounds():
-    spec = GenSpec(10, 30, 1, 100, 1, 0)
-    rng = RngStream(4)
-    for _ in range(200):
-        n, m = draw_spec_instance(spec, rng)
-        assert 10 <= n <= 30
-        assert 1 <= m <= 100
+def test_generate_set_stays_in_bounds():
+    for g in generate_set(GenSpec(10, 30, 1, 100, 200, 4)):
+        assert 10 <= g.n <= 30
+        assert 1 <= g.m <= 100
 
 
 def test_generate_set_count_and_shape():
@@ -253,7 +255,7 @@ def test_single_arc_positions_are_roughly_uniform():
     draws = 10_000
     for _ in range(draws):
         g = draw_graph(3, 1, rng)
-        counts[(g.arcs[0].i, g.arcs[0].j)] += 1
+        counts[(g.src[0], g.dst[0])] += 1
     assert len(counts) == 6
     for pair, c in counts.items():
         assert abs(c / draws - 1 / 6) <= 0.02, pair
@@ -263,10 +265,10 @@ def test_single_arc_positions_are_roughly_uniform():
 @settings(max_examples=25, deadline=None)
 def test_generated_graphs_are_always_well_formed(seed):
     for g in generate_set(GenSpec(2, 6, 1, 40, 5, seed)):
-        pairs = [(a.i, a.j) for a in g.arcs]
+        pairs = list(zip(g.src, g.dst))
         assert len(set(pairs)) == len(pairs)
-        assert all(1 <= a.i <= g.n and 1 <= a.j <= g.n and a.i != a.j for a in g.arcs)
-        assert all(1 <= a.w <= 100 for a in g.arcs)
+        assert all(1 <= i <= g.n and 1 <= j <= g.n and i != j for i, j in pairs)
+        assert all(1 <= w <= 100 for w in g.wt)
         assert g.m <= max_arcs(g.n)
 
 

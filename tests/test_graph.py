@@ -6,19 +6,24 @@ from hypothesis import strategies as st
 
 from bkroute import (
     INF,
+    MAX_NODES,
     MAX_WEIGHT,
-    Arc,
     Graph,
     MalformedGraphError,
     build_cost_matrix,
     max_arcs,
 )
-from helpers import CHAIN, graphs
+from helpers import CHAIN, arcs, graphs
 
 def test_max_arcs_values():
     assert max_arcs(2) == 2
     assert max_arcs(10) == 90
     assert max_arcs(90) == 8010
+    assert max_arcs(MAX_NODES) == MAX_NODES * (MAX_NODES - 1)
+
+
+def test_max_nodes_keeps_every_path_sum_exact_in_a_float64():
+    assert MAX_WEIGHT * MAX_NODES < 2**53
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
@@ -33,6 +38,7 @@ def test_max_arcs_rejects_small_n(n):
         (1, "node count must be at least 2, got 1"),
         (2.5, "node count must be an integer, got 2.5"),
         (True, "node count must be an integer, got True"),
+        (MAX_NODES + 1, f"node count must be at most {MAX_NODES}, got {MAX_NODES + 1}"),
     ],
 )
 def test_max_arcs_has_the_graph_node_count_rule(n, message):
@@ -42,18 +48,19 @@ def test_max_arcs_has_the_graph_node_count_rule(n, message):
     with pytest.raises(ValueError) as exc:
         Graph(n)
     assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        Graph.from_columns(n, (), (), ())
+    assert str(exc.value) == message
 
 
-def test_graph_normalizes_arcs_to_named_tuples():
+def test_graph_transposes_any_iterable_of_triples():
     g = Graph(3, [(1, 2, 5)])
-    assert g.arcs == (Arc(1, 2, 5),)
+    assert (g.src, g.dst, g.wt) == ((1,), (2,), (5,))
     assert g.m == 1
-    arc = Arc(2, 3, 4)
-    g = Graph(3, (a for a in [arc, [1, 3, 6]]))  # any iterable of triples
-    assert g.arcs == (arc, Arc(1, 3, 6))
-    assert all(type(a) is Arc for a in g.arcs)
+    g = Graph(3, (a for a in [(2, 3, 4), [1, 3, 6]]))  # any iterable of triples
     assert (g.src, g.dst, g.wt) == ((2, 1), (3, 3), (4, 6))
-    assert Graph(3, [iter((1, 2, 5))]).arcs == (Arc(1, 2, 5),)  # a triple without len()
+    g = Graph(3, [iter((1, 2, 5))])  # a triple without len()
+    assert (g.src, g.dst, g.wt) == ((1,), (2,), (5,))
 
 
 def test_from_columns_is_graph_of_the_transposed_arcs():
@@ -140,7 +147,7 @@ def test_matrix_rejects_malformed_input(arcs, msg):
 
 def test_matrix_rejects_non_integer_weight():
     with pytest.raises(MalformedGraphError, match="integer"):
-        Graph(2, [Arc(1, 2, 1.5)])
+        Graph(2, [(1, 2, 1.5)])
 
 
 WEIGHT_RULE = f"weight must be an integer in [0, {MAX_WEIGHT}]"
@@ -229,7 +236,7 @@ def test_graph_construction_names_the_first_broken_arc(case):
         assert str(exc.value) == f"arc {k} ({i}, {j}, {w}): {reason}"
         return
     g = Graph(n, arcs)
-    assert g.arcs == tuple(arcs)
+    assert list(zip(g.src, g.dst, g.wt)) == arcs
     mat = build_cost_matrix(g)
     lookup = {(i, j): w for i, j, w in arcs}
     assert entries(mat) == [
@@ -241,7 +248,7 @@ def test_graph_construction_names_the_first_broken_arc(case):
 @given(graphs(min_w=0))
 def test_matrix_matches_arc_set(g):
     mat = build_cost_matrix(g)
-    lookup = {(a.i, a.j): a.w for a in g.arcs}
+    lookup = {(i, j): w for i, j, w in arcs(g)}
     for i in range(1, g.n + 1):
         for j in range(1, g.n + 1):
             expected = 0 if i == j else lookup.get((i, j), INF)
@@ -250,6 +257,6 @@ def test_matrix_matches_arc_set(g):
 
 @given(graphs(), st.randoms(use_true_random=False))
 def test_matrix_ignores_arc_order(g, rnd):
-    shuffled = list(g.arcs)
+    shuffled = arcs(g)
     rnd.shuffle(shuffled)
     assert entries(build_cost_matrix(Graph(g.n, tuple(shuffled)))) == entries(build_cost_matrix(g))

@@ -3,15 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from bkroute import (
-    INF,
-    Graph,
+from bkroute import INF, Graph, oracle_distances
+from helpers import (
+    CHAIN,
     SizeLimitError,
     bounded_distances,
     brute_force_distance,
-    oracle_distances,
+    graphs,
 )
-from helpers import CHAIN, graphs
 
 
 def test_oracle_chain():
