@@ -47,7 +47,7 @@ def graph(request):
 
 
 def test_graph_construction(benchmark, graph):
-    benchmark(Graph, graph.n, tuple(zip(graph.src, graph.dst, graph.wt)))
+    benchmark(Graph, graph.n, graph.src, graph.dst, graph.wt)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))

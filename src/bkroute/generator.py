@@ -144,7 +144,7 @@ def draw_graph(
     r = tuple(map(add, map(mod, positions, repeat(n - 1)), repeat(1)))
     dst = tuple(map(add, r, map(ge, r, src)))
     wt = [rng.uniform_int(1, weight_max) for _ in range(m)]
-    return Graph.from_columns(n, src, dst, wt)
+    return Graph(n, src, dst, wt)
 
 
 @dataclass(frozen=True)

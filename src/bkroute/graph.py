@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
-from itertools import repeat
 from operator import itemgetter
 
 #: Absent-arc marker. IEEE infinity saturates under addition, so no sum of
@@ -42,55 +41,37 @@ def max_arcs(n: int) -> int:
     return n * (n - 1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Graph:
     """Node count plus a duplicate-free arc list, held as three int columns.
 
     Arc k (0-based) runs from node src[k] to node dst[k] with weight wt[k].
-    `Graph(n, arcs)` takes any iterable of (i, j, w) sequences and
-    transposes it; `Graph.from_columns` takes the columns as they are. Both
-    go through the same per-arc check, so every Graph that exists holds the
-    invariants: n an int with 2 <= n <= MAX_NODES; i and j ints with
-    1 <= i, j <= n; i != j; no repeated ordered pair; w an int with
-    0 <= w <= MAX_WEIGHT. "An int" means exactly int: a bool, or a float
-    equal to an int, is refused, since it would not survive a BKSET round
-    trip. The first broken arc raises MalformedGraphError; arc errors start
-    with "arc k" (1-based position in arcs) so callers can prefix their own
-    context. The duplicate check needs memory proportional to m, not n*n.
+    The columns may be any sequences of equal length and are stored as
+    tuples; `Graph(n)` has no arcs, and `Graph(n, *zip(*arcs))` transposes
+    a list of (i, j, w) triples. Construction checks every invariant, so
+    every Graph that exists holds them: n an int with 2 <= n <= MAX_NODES;
+    i and j ints with 1 <= i, j <= n; i != j; no repeated ordered pair; w an
+    int with 0 <= w <= MAX_WEIGHT. "An int" means exactly int: a bool, or a
+    float equal to an int, is refused, since it would not survive a BKSET
+    round trip. The first broken rule raises MalformedGraphError; arc errors
+    start with "arc k" (1-based position in the columns) so callers can
+    prefix their own context. The duplicate check needs memory proportional
+    to m, not n*n.
     """
 
     n: int
-    src: tuple[int, ...]
-    dst: tuple[int, ...]
-    wt: tuple[int, ...]
+    src: tuple[int, ...] = ()
+    dst: tuple[int, ...] = ()
+    wt: tuple[int, ...] = ()
 
-    def __init__(self, n: int, arcs: Iterable[Sequence[int]] = ()) -> None:
-        _check_node_count(n)
-        items = list(arcs)
-        if not all(map(isinstance, items, repeat(tuple))):  # read each item once
-            items = [tuple(a) if isinstance(a, Iterable) else a for a in items]
-        _check_arcs(n, items)
-        self._set_columns(n, *(zip(*items) if items else ((), (), ())))
-
-    @classmethod
-    def from_columns(
-        cls, n: int, src: Sequence[int], dst: Sequence[int], wt: Sequence[int]
-    ) -> Graph:
-        """The graph whose arc k runs from src[k] to dst[k] with weight wt[k]."""
+    def __post_init__(self) -> None:
+        n, src, dst, wt = self.n, self.src, self.dst, self.wt
         _check_node_count(n)
         if not len(src) == len(dst) == len(wt):
             raise MalformedGraphError(
                 f"columns differ in length: {len(src)}, {len(dst)}, {len(wt)}"
             )
         _check_arcs(n, zip(src, dst, wt))
-        g = cls.__new__(cls)
-        g._set_columns(n, src, dst, wt)
-        return g
-
-    def _set_columns(
-        self, n: int, src: Iterable[int], dst: Iterable[int], wt: Iterable[int]
-    ) -> None:
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "src", tuple(src))
         object.__setattr__(self, "dst", tuple(dst))
         object.__setattr__(self, "wt", tuple(wt))
@@ -109,18 +90,12 @@ def _check_node_count(n: int) -> None:
         raise MalformedGraphError(f"node count must be at most {MAX_NODES}, got {n}")
 
 
-def _check_arcs(n: int, arcs: Iterable) -> None:
-    """Check the (i, j, w) items one by one, in the order the Graph
-    docstring gives the rules; the first broken arc raises
-    MalformedGraphError."""
+def _check_arcs(n: int, arcs: Iterable[tuple[int, int, int]]) -> None:
+    """Check the (i, j, w) triples that zip(src, dst, wt) yields, one by
+    one, in the order the Graph docstring gives the rules; the first broken
+    arc raises MalformedGraphError."""
     seen: set[int] = set()  # i*n + j, one int per ordered pair once i, j are in range
-    for k, a in enumerate(arcs, start=1):
-        try:
-            i, j, w = a
-        except (TypeError, ValueError):
-            raise MalformedGraphError(
-                f"arc {k}: expected an (i, j, w) triple, got {a!r}"
-            ) from None
+    for k, (i, j, w) in enumerate(arcs, start=1):
         if type(i) is not int or type(j) is not int:
             reason = "node indices must be integers"
         elif not (1 <= i <= n and 1 <= j <= n):

@@ -187,7 +187,7 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
                 _as_int(token, _ARC_FIELDS[k % 3], f"{where}, arc {k // 3 + 1}")
             raise
         try:
-            graphs.append(Graph.from_columns(n, values[0::3], values[1::3], values[2::3]))
+            graphs.append(Graph(n, values[0::3], values[1::3], values[2::3]))
         except MalformedGraphError as exc:
             raise CorruptFileError(f"{where}, {exc}") from None
 

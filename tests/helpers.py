@@ -9,7 +9,7 @@ from bkroute import INF, Graph
 from bkroute.graph import Weight
 
 # Four-node chain with a costly direct shortcut; the standing worked example.
-CHAIN = Graph(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 10)])
+CHAIN = Graph(4, *zip((1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 10)))
 
 
 def arcs(g: Graph) -> list[tuple[int, int, int]]:
@@ -22,7 +22,7 @@ def graphs(draw, min_n: int = 2, max_n: int = 8, min_w: int = 1, max_w: int = 10
     n = draw(st.integers(min_n, max_n))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    return Graph(n, tuple((i, j, draw(st.integers(min_w, max_w))) for i, j in chosen))
+    return Graph(n, *zip(*[(i, j, draw(st.integers(min_w, max_w))) for i, j in chosen]))
 
 
 #: Hard cap for the exhaustive enumerators (simple paths grow factorially).

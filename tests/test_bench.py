@@ -125,7 +125,7 @@ def test_time_solver_rejects_bad_input():
 def test_time_solver_names_the_failing_graph(monkeypatch):
     import bkroute.bench as bench_mod
 
-    bad = Graph(2, [(1, 2, 7)])
+    bad = Graph(2, *zip((1, 2, 7)))
     calls = []
 
     def boom(mat):  # only the 2nd of 3 matrices fails

@@ -85,6 +85,18 @@ def test_verify_prints_sample_and_tally(tmp_path, capsys):
     assert "verified 1 graphs: 0 mismatches" in out
 
 
+def test_verify_prints_at_most_ten_sample_distances(tmp_path, capsys):
+    path = tmp_path / "wide.bkset"
+    path.write_text("BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 1\nG 100000 0\n")
+    assert main(["verify", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 300
+    assert out.splitlines() == [
+        "sample: graph 1 distances = (" + "inf, " * 10 + "...)",
+        "verified 1 graphs: 0 mismatches",
+    ]
+
+
 def test_verify_reports_the_mismatched_graphs(tmp_path, capsys, monkeypatch):
     path = tmp_path / "three.bkset"
     path.write_text(

@@ -18,11 +18,11 @@ def test_oracle_chain():
 
 
 def test_oracle_without_arcs():
-    assert oracle_distances(Graph(3, [])) == (INF, INF, 0)
+    assert oracle_distances(Graph(3)) == (INF, INF, 0)
 
 
 def test_oracle_arc_pointing_away_from_target():
-    assert oracle_distances(Graph(2, [(2, 1, 5)])) == (INF, 0)
+    assert oracle_distances(Graph(2, *zip((2, 1, 5)))) == (INF, 0)
 
 
 def test_brute_force_chain():
@@ -30,14 +30,14 @@ def test_brute_force_chain():
 
 
 def test_brute_force_unreachable():
-    assert brute_force_distance(Graph(2, [])) == INF
+    assert brute_force_distance(Graph(2)) == INF
 
 
 def test_size_guard():
     with pytest.raises(SizeLimitError):
-        brute_force_distance(Graph(11, []))
+        brute_force_distance(Graph(11))
     with pytest.raises(SizeLimitError):
-        bounded_distances(Graph(11, []), 3)
+        bounded_distances(Graph(11), 3)
 
 
 def test_bounded_distances_by_arc_budget():

@@ -37,7 +37,7 @@ def test_golden_bytes(tmp_path):
 def test_single_graph_body(tmp_path):
     path = tmp_path / "one.bkset"
     spec = GenSpec(2, 2, 1, 1, 1, 7)
-    write_set([Graph(2, [(1, 2, 7)])], spec, path)
+    write_set([Graph(2, *zip((1, 2, 7)))], spec, path)
     assert path.read_text().endswith("COUNT 1\nG 2 1\n1 2 7\n")
 
 
@@ -270,7 +270,7 @@ def _line_by_line_read_set(source):
             pos += 1
             arcs.append((i, j, w))
         try:
-            graphs.append(Graph(n, arcs))
+            graphs.append(Graph(n, *zip(*arcs)))
         except MalformedGraphError as exc:
             raise CorruptFileError(f"{where}, {exc}") from None
 

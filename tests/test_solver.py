@@ -60,7 +60,7 @@ class TestChainExample:
 
 
 def test_two_nodes_single_arc():
-    mat = build_cost_matrix(Graph(2, [(1, 2, 7)]))
+    mat = build_cost_matrix(Graph(2, *zip((1, 2, 7))))
     for solve in (bk_classic, bk_accelerated):
         r = solve(mat)
         assert r.distances == (7, 0)
@@ -72,7 +72,7 @@ def test_two_nodes_single_arc():
 
 
 def test_no_arcs_settles_in_one_sweep():
-    mat = build_cost_matrix(Graph(3, []))
+    mat = build_cost_matrix(Graph(3))
     for solve in (bk_classic, bk_accelerated):
         r = solve(mat)
         assert r.distances == (INF, INF, 0)
@@ -81,7 +81,7 @@ def test_no_arcs_settles_in_one_sweep():
 
 
 def test_complete_three_node_graph():
-    g = Graph(3, [(i, j, 1) for i in range(1, 4) for j in range(1, 4) if i != j])
+    g = Graph(3, *zip(*[(i, j, 1) for i in range(1, 4) for j in range(1, 4) if i != j]))
     mat = build_cost_matrix(g)
     r = bk_classic(mat)
     assert r.distances == (1, 1, 0)
@@ -91,7 +91,7 @@ def test_complete_three_node_graph():
 
 
 def test_route_tie_break_prefers_smallest_successor():
-    g = Graph(3, [(1, 2, 1), (2, 3, 1), (1, 3, 2)])
+    g = Graph(3, *zip((1, 2, 1), (2, 3, 1), (1, 3, 2)))
     mat = build_cost_matrix(g)
     d = bk_classic(mat).distances
     assert d == (2, 1, 0)
@@ -101,7 +101,7 @@ def test_route_tie_break_prefers_smallest_successor():
 
 def test_route_backs_out_of_a_zero_weight_cycle():
     # 1 -> 2 is tight (0 + 5 == 5) but leads only back to node 1
-    mat = build_cost_matrix(Graph(3, [(1, 2, 0), (2, 1, 0), (1, 3, 5)]))
+    mat = build_cost_matrix(Graph(3, *zip((1, 2, 0), (2, 1, 0), (1, 3, 5))))
     d = bk_classic(mat).distances
     assert d == (5, 5, 0)
     route = extract_route(mat, d)
@@ -110,7 +110,7 @@ def test_route_backs_out_of_a_zero_weight_cycle():
 
 
 def test_route_requires_reachability():
-    mat = build_cost_matrix(Graph(2, []))
+    mat = build_cost_matrix(Graph(2))
     with pytest.raises(NoRouteError):
         extract_route(mat, bk_classic(mat).distances)
 
@@ -173,14 +173,14 @@ def assert_matches_dense_reference(mat: CostMatrix) -> None:
 def complete_graphs(draw, max_n: int = 8):
     n = draw(st.integers(2, max_n))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return Graph(n, [(i, j, draw(st.integers(0, 100))) for i, j in pairs])
+    return Graph(n, *zip(*[(i, j, draw(st.integers(0, 100))) for i, j in pairs]))
 
 
 @st.composite
 def graphs_with_sinks(draw):
     g = draw(graphs(min_w=0))
     sinks = draw(st.sets(st.integers(1, g.n - 1), min_size=1))
-    return Graph(g.n, [(i, j, w) for i, j, w in arcs(g) if i not in sinks])
+    return Graph(g.n, *zip(*[(i, j, w) for i, j, w in arcs(g) if i not in sinks]))
 
 
 #: Shaped like the sparse-route corpus: n 50..90, m 100..400.
@@ -264,7 +264,7 @@ def test_large_draw_is_within_memory_bound():
 def test_large_chain_is_exact():
     # every sum MAX_WEIGHT*k stays an exact int; the classic order needs n sweeps
     n = LARGE_N
-    chain = Graph(n, [(k, k + 1, MAX_WEIGHT) for k in range(1, n)])
+    chain = Graph(n, *zip(*[(k, k + 1, MAX_WEIGHT) for k in range(1, n)]))
     mat = within_memory_bound(build_cost_matrix, chain)
     r = bk_accelerated(mat)
     assert r.sweeps == 2
@@ -284,7 +284,7 @@ def test_large_random_graph_matches_oracle():
         if i != j and (i, j) not in seen:
             seen.add((i, j))
             arcs.append((i, j, rnd.randint(0, 100)))
-    g = Graph(n, arcs)
+    g = Graph(n, *zip(*arcs))
     mat = within_memory_bound(build_cost_matrix, g)
     expected = oracle_distances(g)
     assert sum(d != INF for d in expected) > n // 2  # most nodes reach the target
