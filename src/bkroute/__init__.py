@@ -12,7 +12,6 @@ from .bench import (
     BenchReport,
     BenchRow,
     TimingPolicy,
-    UndefinedSpeedupError,
     aggregate_speedup,
     derive_cell_seed,
     emit_table,
@@ -71,7 +70,6 @@ __all__ = [
     "TABLE1_CELLS",
     "TABLE2_CELLS",
     "TimingPolicy",
-    "UndefinedSpeedupError",
     "UnsupportedFormatError",
     "aggregate_speedup",
     "bk_accelerated",

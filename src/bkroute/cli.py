@@ -1,6 +1,9 @@
 """Command-line front end: generate graph sets, verify solver identity on a
 stored set, benchmark it, or run the full measurement grids.
 
+`bench.emit_table` renders each report and this module only sends it to
+stdout or to --out; beside CSV it prints the speedup summary on stderr.
+
 Exit codes: 0 success, 1 runtime or data error (unreadable, corrupt, or
 unusable input), 2 usage error (bad flags or bounds).
 """
@@ -14,12 +17,11 @@ from .bench import (
     GRIDS,
     BenchReport,
     TimingPolicy,
-    UndefinedSpeedupError,
-    aggregate_speedup,
     bench_cell,
     emit_table,
     environment_note,
     run_grid,
+    speedup_summary,
     verify_equivalence,
 )
 from .generator import GenSpec, generate_set_detailed
@@ -30,11 +32,6 @@ from .solver import ConvergenceError, bk_classic
 #: How many of graph 1's distances `verify` prints, so its output stays
 #: short whatever n a file claims.
 _SAMPLE_SIZE = 10
-
-_SPEEDUP_NOTE = (
-    "Reference best-case band for comparison: 10-15%. Wall-clock ratios are "
-    "hardware-dependent; they are reported, never asserted."
-)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -109,46 +106,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not graphs:
         print("verified 0 graphs: 0 mismatches")
         return 0
-    summary = verify_equivalence(graphs)
+    mismatched = verify_equivalence(graphs)
     sample = bk_classic(build_cost_matrix(graphs[0])).distances
     shown = ", ".join(map(repr, sample[:_SAMPLE_SIZE]))
     more = ", ..." if len(sample) > _SAMPLE_SIZE else ""
     print(f"sample: graph 1 distances = ({shown}{more})")
-    if summary.ok:
-        print(f"verified {summary.total} graphs: 0 mismatches")
+    if not mismatched:
+        print(f"verified {len(graphs)} graphs: 0 mismatches")
         return 0
     print(
-        f"verified {summary.total} graphs: {len(summary.mismatched)} mismatches "
-        f"at graphs {list(summary.mismatched)}"
+        f"verified {len(graphs)} graphs: {len(mismatched)} mismatches "
+        f"at graphs {list(mismatched)}"
     )
     return 1
 
 
-def _fmt(args: argparse.Namespace) -> str:
-    return "markdown" if args.format == "md" else "csv"
-
-
-def _deliver(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(report: BenchReport, args: argparse.Namespace) -> int:
+    text = emit_table(report, args.format)
+    if args.format == "csv":  # CSV stdout stays parseable
+        for line in speedup_summary(report):
+            print(line, file=sys.stderr)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        print(f"wrote report to {out}")
-
-
-def _with_speedup(text: str, report: BenchReport, fmt: str) -> str:
-    try:
-        pct = aggregate_speedup(report)
-    except UndefinedSpeedupError:
-        return text
-    line = f"Aggregate speedup (total t_BK vs total t_BKaccelerat): {pct:.2f}%"
-    if fmt == "markdown":
-        return text + f"\n{line}\n\n{_SPEEDUP_NOTE}\n"
-    # CSV stdout stays parseable; the summary goes to stderr instead.
-    print(line, file=sys.stderr)
-    print(_SPEEDUP_NOTE, file=sys.stderr)
-    return text
+        print(f"wrote report to {args.out}")
+    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -162,17 +146,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         environment_note(policy),
         f"set={args.infile} count={len(graphs)} seed={spec.seed}",
     )
-    fmt = _fmt(args)
-    _deliver(_with_speedup(emit_table(report, fmt), report, fmt), args.out)
-    return 0
+    return _emit(report, args)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     policy = TimingPolicy(args.repeats)
-    report = run_grid(args.grid, args.count, args.seed, policy)
-    fmt = _fmt(args)
-    _deliver(_with_speedup(emit_table(report, fmt), report, fmt), args.out)
-    return 0
+    return _emit(run_grid(args.grid, args.count, args.seed, policy), args)
 
 
 def main(argv: list[str] | None = None) -> int:

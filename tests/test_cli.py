@@ -1,14 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import subprocess
 import sys
 
 import pytest
 
 import bkroute.bench
-import bkroute.cli
-from bkroute import UndefinedSpeedupError
 from bkroute.cli import main, parse_range
 
 
@@ -204,10 +203,7 @@ def test_bench_csv_stdout_stays_machine_readable(small_set, capsys):
 def test_bench_without_a_defined_speedup_prints_only_the_table(
     small_set, capsys, monkeypatch
 ):
-    def undefined(report):
-        raise UndefinedSpeedupError("total classic time is zero")
-
-    monkeypatch.setattr(bkroute.cli, "aggregate_speedup", undefined)
+    monkeypatch.setattr(bkroute.bench, "aggregate_speedup", lambda report: None)
     assert main(["bench", "--in", str(small_set), "--format", "md"]) == 0
     out = capsys.readouterr().out
     assert "| n | m | t_BK | t_BKaccelerat |" in out
@@ -225,6 +221,59 @@ def test_bench_writes_report_file(small_set, tmp_path, capsys):
     assert text.startswith("# ")
     assert "Aggregate speedup" in text
     assert "wrote report to" in capsys.readouterr().out
+
+
+_GOLDEN_TABLE = (
+    "| n | m | t_BK | t_BKaccelerat | sweeps_classic | sweeps_accel "
+    "| relaxations_classic | relaxations_accel | mismatches |\n"
+    "|---|---|---|---|---|---|---|---|---|\n"
+    "| 2-6 | 1-12 | 6.000 | 2.000 | 34 | 32 | 492 | 456 | 0 |\n"
+)
+_GOLDEN_SPEEDUP = (
+    "Aggregate speedup (total t_BK vs total t_BKaccelerat): 66.67%\n",
+    "Reference best-case band for comparison: 10-15%. Wall-clock ratios are "
+    "hardware-dependent; they are reported, never asserted.\n",
+)
+
+
+def test_bench_report_is_byte_exact(small_set, tmp_path, capsys, monkeypatch):
+    """The whole report, with the clock and the host fixed."""
+    monkeypatch.setattr(bkroute.bench.platform, "platform", lambda: "TestOS-1.0")
+    monkeypatch.setattr(bkroute.bench.platform, "python_version", lambda: "3.99.0")
+
+    def bench(*extra):
+        steps = itertools.count(9_000_000, -1_000_000)  # later solves look faster
+        now = 0
+
+        def perf_counter_ns():
+            nonlocal now
+            now += next(steps)
+            return now
+
+        monkeypatch.setattr(bkroute.bench.time, "perf_counter_ns", perf_counter_ns)
+        assert main(["bench", "--in", str(small_set), "--repeats", "2", *extra]) == 0
+        return capsys.readouterr()
+
+    markdown = (
+        "# Shortest-route solver benchmark\n\n"
+        f"- settings: set={small_set} count=15 seed=21\n"
+        "- environment: host: TestOS-1.0; python 3.99.0; clock: perf_counter_ns; "
+        "elapsed = min over 2 repeat(s); timed region covers solver calls only "
+        "(matrices prebuilt, no file I/O)\n\n"
+        + _GOLDEN_TABLE + "\n" + _GOLDEN_SPEEDUP[0] + "\n" + _GOLDEN_SPEEDUP[1]
+    )
+    md = bench("--format", "md")
+    assert (md.out, md.err) == (markdown, "")
+    csv = bench("--format", "csv")
+    assert csv.out == (
+        "n,m,t_BK,t_BKaccelerat,sweeps_classic,sweeps_accel,relaxations_classic,"
+        "relaxations_accel,mismatches\n2-6,1-12,6.000,2.000,34,32,492,456,0\n"
+    )
+    assert csv.err == "".join(_GOLDEN_SPEEDUP)
+    dest = tmp_path / "report.md"
+    written = bench("--out", str(dest))
+    assert (written.out, written.err) == (f"wrote report to {dest}\n", "")
+    assert dest.read_bytes() == markdown.encode()
 
 
 def test_bench_empty_set_is_rejected(tmp_path, capsys):
