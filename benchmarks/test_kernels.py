@@ -1,6 +1,6 @@
 """Micro-benchmarks of graph generation, graph construction (where the arc
-rules are checked), the matrix build, the two sweep kernels, route extraction and the
-BKSET reader and writer.
+rules are checked), the matrix build, the two sweep kernels (also on a long
+chain), route extraction and the BKSET reader and writer.
 
 Run from the root of a source checkout:
 
@@ -41,6 +41,14 @@ GRAPHS = {
 }
 
 
+#: Solved only: GRAPHS plus the README's chain 1 -> 2 -> ... -> 3000, on
+#: which the classic order needs one pass per arc.
+SOLVED = {
+    **GRAPHS,
+    "chain-n3000": Graph(3000, tuple(range(1, 3000)), tuple(range(2, 3001)), (1,) * 2999),
+}
+
+
 @pytest.fixture(params=sorted(GRAPHS))
 def graph(request):
     return GRAPHS[request.param]
@@ -62,8 +70,9 @@ def test_build_cost_matrix(benchmark, graph):
 
 
 @pytest.mark.parametrize("solve", [bk_classic, bk_accelerated], ids=["classic", "accelerated"])
-def test_solve(benchmark, graph, solve):
-    mat = build_cost_matrix(graph)
+@pytest.mark.parametrize("name", sorted(SOLVED))
+def test_solve(benchmark, name, solve):
+    mat = build_cost_matrix(SOLVED[name])
     result = benchmark(solve, mat)
     assert result.distances[-1] == 0
 

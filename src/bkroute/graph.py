@@ -9,6 +9,7 @@ ordinary 0-based sequences.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
@@ -25,6 +26,13 @@ MAX_WEIGHT = 10**9
 #: make the tools allocate, and keeps every path sum below
 #: MAX_WEIGHT * MAX_NODES < 2**53, exact even as a float64.
 MAX_NODES = 10**5
+
+#: Largest mean out-degree m/n at which a CostMatrix keeps `preds`, so that
+#: its sweeps take candidates from the arcs into changed rows instead of
+#: evaluating every row. Denser graphs keep the paper's passes: their in-arc
+#: lists would cost about 64 bytes per arc, and on them the two sweep orders
+#: would make the same changes, erasing the gap the paper measures.
+_SPARSE_DEGREE = 8
 
 #: Extended weight: finite values are non-negative ints, the only float is INF.
 Weight = int | float
@@ -117,6 +125,10 @@ def _check_arcs(n: int, arcs: Iterable[tuple[int, int, int]]) -> None:
 #: weights at those columns, in the same order.
 RowTerms = tuple[int, Callable[[Sequence[Weight]], Sequence[Weight]], tuple[Weight, ...]]
 
+#: Arcs into each node, for sparse matrices: node j -> ((i, w), ...), the
+#: rows i with an arc into j and that arc's weight w.
+Preds = dict[int, tuple[tuple[int, Weight], ...]]
+
 #: One row of the cost table: 0-based columns and the weights at them, in
 #: the same order, the diagonal (weight 0) first and then one per arc.
 TableRow = tuple[tuple[int, ...], tuple[Weight, ...]]
@@ -137,12 +149,22 @@ class CostMatrix:
     `sparse_rows` is derived from `table`: one RowTerms entry, in row order,
     for each non-target row with at least one arc. A row without arcs stays
     INF in every sweep, so it is left out.
+
+    `preds` is None unless the matrix is sparse, with m <= 8n arcs. Then
+    `preds[j]` (0-based) holds the arcs into node j as (i, w) pairs, in
+    ascending i: the rows of `sparse_rows` with an arc into j, and that
+    arc's weight. A node that no such arc enters has no key, so a matrix
+    without arcs holds an empty dict, and the target row's arcs are left out
+    like its row. It is filled by a second pass over the arcs of
+    `sparse_rows`, made only for a sparse matrix, so a dense one pays
+    nothing for it.
     """
 
     n: int
     arcs: InitVar[Iterable[tuple[int, int, Weight]]]
     table: tuple[TableRow, ...] = field(init=False, repr=False)
     sparse_rows: tuple[RowTerms, ...] = field(init=False, repr=False)
+    preds: Preds | None = field(init=False, repr=False)
 
     def __post_init__(self, arcs: Iterable[tuple[int, int, Weight]]) -> None:
         n = self.n
@@ -155,8 +177,16 @@ class CostMatrix:
         view = tuple(
             (i, itemgetter(*c), w) for i, (c, w) in enumerate(table[:-1]) if len(c) > 1
         )
+        preds = None
+        if sum(map(len, cols)) - n <= _SPARSE_DEGREE * n:
+            into: defaultdict[int, list[tuple[int, Weight]]] = defaultdict(list)
+            for i, _, _ in view:
+                for j, w in zip(cols[i][1:], weights[i][1:]):
+                    into[j].append((i, w))
+            preds = {j: tuple(arcs_in) for j, arcs_in in into.items()}
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "sparse_rows", view)
+        object.__setattr__(self, "preds", preds)
 
     def entry(self, i: int, j: int) -> Weight:
         """1-based accessor, for tests and route checks. Takes time in

@@ -19,11 +19,34 @@ reads v; it returns the new vector, or None when nothing changed:
   in place, so each row already sees the values refreshed earlier in the
   same pass (Gauss-Seidel order), which can only shorten the descent.
 
+On a sparse matrix, one with ``CostMatrix.preds``, a pass evaluates no
+row in full. Row i's minimum can only drop when a successor j drops, and
+then only to w + v[j] for the arc i -> j. So when a row changes to b, each
+row with an arc into it is offered the candidate w + b, and keeps it in
+``best`` if it beats both its value and the candidates it already holds.
+A pass then takes the queued candidates in its own order:
+
+* ``_simultaneous`` applies every candidate offered by the previous pass,
+  then offers candidates from the rows it changed;
+* ``_bottom_up`` takes the queued rows from n-1 down to 1; a row it
+  changes offers candidates at once, so a lower row takes its candidate
+  later in the same pass and a higher one in the next.
+
+This is exact: a row's terms for the successors that made no offer are no
+smaller than the value it already holds, so its best candidate, where it
+has one, is the minimum a full evaluation would compute. Every pass leaves
+the vector that a pass over all rows would, and sweeps, distances and
+trace snapshots are the same. The work of a pass is the in-arcs of the
+rows that changed, so on a sparse graph both orders make about the same
+number of changes at about the same cost, and bottom-up order saves
+sweeps but no longer time. A dense matrix has no ``preds``, and its passes
+evaluate every row, as the paper's do.
+
 Counting convention used by every counter downstream: ``sweeps`` is the
 number of executed passes, including the final confirming pass (the one
 that detects no change); ``relaxations`` is the paper's nominal
 sweeps * (n-1) * n, the n candidate terms of each of the n-1 non-target
-rows per pass, not the number of finite terms a pass evaluates. The
+rows per pass, not the number of terms or candidates a pass looks at. The
 diagonal zero makes row i's own value one of its candidates, so entries
 never increase, and with non-negative weights at most n passes are ever
 needed (n-1 productive plus one confirming).
@@ -31,13 +54,20 @@ needed (n-1 productive plus one confirming).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import INF, CostMatrix, RowTerms, Weight
+from .graph import INF, CostMatrix, Preds, RowTerms, Weight
 
 View = tuple[RowTerms, ...]
+
+#: The candidates of a sparse matrix's next pass, (best, queued): best[i] is
+#: the smallest w + v[j] offered to row i over an arc i -> j since row i
+#: last changed, INF when none beat v[i], and queued lists the rows whose
+#: best is finite. A dense matrix has none; its passes evaluate every row.
+Pending = tuple[list[Weight], list[int]]
 
 
 class ConvergenceError(RuntimeError):
@@ -73,34 +103,91 @@ class Route:
     cost: int
 
 
-def _simultaneous(view: View, v: list[Weight]) -> list[Weight] | None:
-    new = v[:]
-    for i, gather, weights in view:
-        new[i] = min(map(add, weights, gather(v)))
-    return None if new == v else new
+def _offer(preds: Preds, v: list[Weight], pending: Pending, rows: Iterable[int]) -> None:
+    """Offer each row with an arc i -> k into a row k of `rows` the
+    candidate w + v[k], kept where it beats both v[i] and best[i]."""
+    best, queued = pending
+    for k in rows:
+        b = v[k]
+        for i, w in preds.get(k, ()):
+            c = w + b
+            if c < v[i] and c < best[i]:
+                if best[i] == INF:
+                    queued.append(i)
+                best[i] = c
 
 
-def _bottom_up(view: View, v: list[Weight]) -> list[Weight] | None:
-    changed = False
-    for i, gather, weights in reversed(view):
-        b = min(map(add, weights, gather(v)))
-        if b != v[i]:
-            v[i] = b
-            changed = True
-    return v if changed else None
+def _simultaneous(
+    view: View, v: list[Weight], preds: Preds | None, pending: Pending | None
+) -> list[Weight] | None:
+    if pending is None:
+        new = v[:]
+        for i, gather, weights in view:
+            new[i] = min(map(add, weights, gather(v)))
+        return None if new == v else new
+    best, queued = pending
+    if not queued:
+        return None
+    rows = queued[:]
+    queued.clear()
+    for k in rows:
+        v[k] = best[k]
+        best[k] = INF
+    _offer(preds, v, pending, rows)
+    return v
+
+
+def _bottom_up(
+    view: View, v: list[Weight], preds: Preds | None, pending: Pending | None
+) -> list[Weight] | None:
+    if pending is None:
+        changed = False
+        for i, gather, weights in reversed(view):
+            b = min(map(add, weights, gather(v)))
+            if b != v[i]:
+                v[i] = b
+                changed = True
+        return v if changed else None
+    best, queued = pending
+    if not queued:
+        return None
+    rows = sorted(queued)  # the rows still to change in this pass, highest last
+    queued.clear()
+    while rows:
+        k = rows.pop()
+        v[k] = b = best[k]
+        best[k] = INF
+        for i, w in preds.get(k, ()):
+            c = w + b
+            if c < v[i] and c < best[i]:
+                if best[i] == INF:
+                    # a lower row changes later in this pass, a higher one in the next
+                    if i < k:
+                        insort(rows, i)
+                    else:
+                        queued.append(i)
+                best[i] = c
+    return v
 
 
 def _solve(
     a: CostMatrix,
-    sweep_pass: Callable[[View, list[Weight]], list[Weight] | None],
+    sweep_pass: Callable[
+        [View, list[Weight], Preds | None, Pending | None], list[Weight] | None
+    ],
     trace: list[tuple[Weight, ...]] | None,
 ) -> SolveResult:
     n = a.n
     view = a.sparse_rows
+    preds = a.preds
     v: list[Weight] = [INF] * n
     v[n - 1] = 0
+    pending: Pending | None = None
+    if preds is not None:
+        pending = ([INF] * n, [])
+        _offer(preds, v, pending, (n - 1,))
     for sweep in range(1, n + 1):
-        new = sweep_pass(view, v)
+        new = sweep_pass(view, v, preds, pending)
         if trace is not None:
             trace.append(tuple(v if new is None else new))
         if new is None:

@@ -124,6 +124,21 @@ def test_sparse_rows_hold_the_finite_entries_of_each_row():
     assert view(Graph(3, *zip((2, 3, 1), (3, 1, 4))), [30, 20, 10]) == [(1, (20, 10), (0, 1))]
 
 
+def test_preds_hold_the_arcs_into_each_node():
+    # 0-based node j -> the (row, weight) pairs of the arcs into j, rows ascending
+    assert build_cost_matrix(CHAIN).preds == {1: ((0, 1),), 2: ((1, 1),), 3: ((0, 10), (2, 1))}
+    # the target's arc 3 -> 1 is left out with its row, which is never evaluated
+    assert build_cost_matrix(Graph(3, *zip((2, 3, 1), (3, 1, 4)))).preds == {2: ((1, 1),)}
+
+
+def test_preds_exist_up_to_eight_arcs_per_node():
+    n = 12
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for m, sparse in ((0, True), (8 * n, True), (8 * n + 1, False), (len(pairs), False)):
+        g = Graph(n, *zip(*[(i, j, 1) for i, j in pairs[:m]]))
+        assert (build_cost_matrix(g).preds is not None) == sparse, m
+
+
 @pytest.mark.parametrize("bad", [0, -1, 4])
 @pytest.mark.parametrize("which", ["i", "j"])
 def test_entry_rejects_nodes_outside_the_graph(which, bad):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bkroute import (
     INF,
+    MAX_NODES,
     MAX_WEIGHT,
     ConvergenceError,
     GenSpec,
@@ -126,9 +127,13 @@ NEGATIVE_CYCLE = [(1, 2, -5), (1, 3, 0), (2, 1, 1), (2, 3, 0)]
 
 
 def test_divergent_matrix_is_detected():
+    mat = CostMatrix(3, NEGATIVE_CYCLE)
+    assert mat.preds is not None  # sparse, so its passes take only the offered candidates
     for solve in (bk_classic, bk_accelerated):
+        trace = []
         with pytest.raises(ConvergenceError, match="fixed point"):
-            solve(CostMatrix(3, NEGATIVE_CYCLE))
+            solve(mat, trace=trace)
+        assert len(trace) == 3  # n sweeps, then the error
 
 
 def dense_reference(a: CostMatrix, bottom_up: bool):
@@ -170,8 +175,8 @@ def assert_matches_dense_reference(mat: CostMatrix) -> None:
 
 
 @st.composite
-def complete_graphs(draw, max_n: int = 8):
-    n = draw(st.integers(2, max_n))
+def complete_graphs(draw, min_n: int = 2, max_n: int = 8):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     return Graph(n, *zip(*[(i, j, draw(st.integers(0, 100))) for i, j in pairs]))
 
@@ -181,6 +186,35 @@ def graphs_with_sinks(draw):
     g = draw(graphs(min_w=0))
     sinks = draw(st.sets(st.integers(1, g.n - 1), min_size=1))
     return Graph(g.n, *zip(*[(i, j, w) for i, j, w in arcs(g) if i not in sinks]))
+
+
+@st.composite
+def gate_boundary_graphs(draw):
+    """m = 8n arcs, the densest matrix that keeps predecessor lists, or
+    m = 8n + 1, the sparsest that has none."""
+    g = draw(complete_graphs(min_n=10, max_n=14))
+    kept = draw(st.permutations(arcs(g)))[: 8 * g.n + draw(st.integers(0, 1))]
+    return Graph(g.n, *zip(*kept))
+
+
+@st.composite
+def reversed_chains(draw):
+    """The route 1 -> n-1 -> n-2 -> ... -> 2 -> n: every arc but the last
+    points to a lower label, so bottom-up needs about n sweeps too."""
+    n = draw(st.integers(2, 30))
+    path = [1, *range(n - 1, 1, -1), n]
+    weights = draw(st.lists(st.integers(0, 100), min_size=n - 1, max_size=n - 1))
+    return Graph(n, path[:-1], path[1:], weights)
+
+
+@st.composite
+def zero_weight_cycles(draw):
+    """A graph in which some nodes form a cycle of zero-weight arcs."""
+    g = draw(graphs(min_n=3, min_w=0))
+    cycle = draw(st.permutations(range(1, g.n + 1)))[: draw(st.integers(2, g.n))]
+    zero = dict.fromkeys(zip(cycle, cycle[1:] + cycle[:1]), 0)
+    kept = [(i, j, w) for i, j, w in arcs(g) if (i, j) not in zero]
+    return Graph(g.n, *zip(*kept, *((i, j, 0) for i, j in zero)))
 
 
 #: Shaped like the sparse-route corpus: n 50..90, m 100..400.
@@ -195,8 +229,15 @@ SPARSE_ROUTE_SET = generate_set(GenSpec(50, 90, 100, 400, 12, 7, 100))
         complete_graphs(),
         graphs_with_sinks(),
         st.sampled_from(SPARSE_ROUTE_SET),
+        complete_graphs(min_n=12, max_n=20),
+        gate_boundary_graphs(),
+        reversed_chains(),
+        zero_weight_cycles(),
     ],
-    ids=["min_w=0", "near-MAX_WEIGHT", "complete", "sinks", "sparse-route-shaped"],
+    ids=[
+        "min_w=0", "near-MAX_WEIGHT", "complete", "sinks", "sparse-route-shaped",
+        "complete-n12-20", "gate-boundary", "reversed-chain", "zero-weight-cycle",
+    ],
 )
 @given(data=st.data())
 def test_sparse_view_matches_dense_reference(strategy, data):
@@ -253,6 +294,22 @@ def within_memory_bound(make, *args):
         tracemalloc.stop()
     assert peak < 64 * 2**20
     return made
+
+
+def test_matrix_without_arcs_holds_no_predecessor_lists():
+    # preds grows with the arcs, not with n: an arcless MAX_NODES matrix keeps
+    # an empty dict, and traces 18.3 MB on CPython 3.11, its table alone
+    tracemalloc.start()
+    try:
+        mat = build_cost_matrix(Graph(MAX_NODES))
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert mat.preds == {}
+    assert size < 19 * 2**20
+    # two arcs give one key per node they enter, however large n is
+    few = build_cost_matrix(Graph(MAX_NODES, *zip((1, 2, 5), (2, MAX_NODES, 5))))
+    assert few.preds == {1: ((0, 5),), MAX_NODES - 1: ((1, 5),)}
 
 
 def test_large_draw_is_within_memory_bound():
