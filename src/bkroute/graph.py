@@ -9,10 +9,11 @@ ordinary 0-based sequences.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
-from operator import itemgetter
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter, sub
 
 #: Absent-arc marker. IEEE infinity saturates under addition, so no sum of
 #: weights along a sweep can turn it into a finite value.
@@ -126,7 +127,7 @@ def _check_arcs(n: int, arcs: Iterable[tuple[int, int, int]]) -> None:
 RowTerms = tuple[int, Callable[[Sequence[Weight]], Sequence[Weight]], tuple[Weight, ...]]
 
 #: Arcs into each node, for sparse matrices: node j -> ((i, w), ...), the
-#: rows i with an arc into j and that arc's weight w.
+#: rows i with an arc into j and that arc's weight w, in arc order.
 Preds = dict[int, tuple[tuple[int, Weight], ...]]
 
 #: One row of the cost table: 0-based columns and the weights at them, in
@@ -140,53 +141,52 @@ class CostMatrix:
     where an arc exists, INF everywhere else. Only the finite entries are
     stored, so memory grows with n + m, never with n*n.
 
-    `table[i]` (0-based) is row i: its diagonal, then its arcs in the order
-    given. It is built in one pass that groups the (i, j, w) triples (1-based
-    nodes) by row. The triples are taken as they are, without checks:
-    `build_cost_matrix` zips a Graph's columns, which are already checked,
-    and tests pass weights no Graph admits, such as a negative cycle.
-
-    `sparse_rows` is derived from `table`: one RowTerms entry, in row order,
-    for each non-target row with at least one arc. A row without arcs stays
-    INF in every sweep, so it is left out.
-
-    `preds` is None unless the matrix is sparse, with m <= 8n arcs. Then
-    `preds[j]` (0-based) holds the arcs into node j as (i, w) pairs, in
-    ascending i: the rows of `sparse_rows` with an arc into j, and that
-    arc's weight. A node that no such arc enters has no key, so a matrix
-    without arcs holds an empty dict, and the target row's arcs are left out
-    like its row. It is filled by a second pass over the arcs of
-    `sparse_rows`, made only for a sparse matrix, so a dense one pays
-    nothing for it.
+    The columns are a Graph's: arc k runs from node src[k] to node dst[k]
+    (1-based) with weight wt[k]. They are not checked, so tests can pass
+    weights no Graph admits, but unequal lengths raise ValueError. One pass
+    groups the arcs by row: `table[i]` (0-based) is row i's diagonal, then
+    its arcs in arc order. When m <= 8n, which len(src) tells up front, the
+    same pass fills `preds`: `preds[j]` (0-based) holds the arcs (i, w) into
+    node j from every row i but the target's, in arc order, and a node that
+    no such arc enters has no key. A dense matrix holds None, at no cost.
     """
 
     n: int
-    arcs: InitVar[Iterable[tuple[int, int, Weight]]]
+    src: InitVar[Sequence[int]]
+    dst: InitVar[Sequence[int]]
+    wt: InitVar[Sequence[Weight]]
     table: tuple[TableRow, ...] = field(init=False, repr=False)
-    sparse_rows: tuple[RowTerms, ...] = field(init=False, repr=False)
     preds: Preds | None = field(init=False, repr=False)
 
-    def __post_init__(self, arcs: Iterable[tuple[int, int, Weight]]) -> None:
+    def __post_init__(
+        self, src: Sequence[int], dst: Sequence[int], wt: Sequence[Weight]
+    ) -> None:
         n = self.n
         cols: list[list[int]] = [[k] for k in range(n)]
         weights: list[list[Weight]] = [[0] for _ in range(n)]
-        for i, j, w in arcs:
-            cols[i - 1].append(j - 1)
-            weights[i - 1].append(w)
-        table = tuple(zip(map(tuple, cols), map(tuple, weights)))
-        view = tuple(
-            (i, itemgetter(*c), w) for i, (c, w) in enumerate(table[:-1]) if len(c) > 1
-        )
         preds = None
-        if sum(map(len, cols)) - n <= _SPARSE_DEGREE * n:
-            into: defaultdict[int, list[tuple[int, Weight]]] = defaultdict(list)
-            for i, _, _ in view:
-                for j, w in zip(cols[i][1:], weights[i][1:]):
+        if len(src) > _SPARSE_DEGREE * n:
+            for i, j, w in zip(src, dst, wt, strict=True):
+                cols[i - 1].append(j - 1)
+                weights[i - 1].append(w)
+        else:
+            into: list[list[tuple[int, Weight]]] = [[] for _ in range(n)]
+            target, one = n - 1, repeat(1)
+            for i, j, w in zip(map(sub, src, one), map(sub, dst, one), wt, strict=True):
+                cols[i].append(j)
+                weights[i].append(w)
+                if i != target:
                     into[j].append((i, w))
-            preds = {j: tuple(arcs_in) for j, arcs_in in into.items()}
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "sparse_rows", view)
+            preds = {j: tuple(arcs_in) for j, arcs_in in enumerate(into) if arcs_in}
+        object.__setattr__(self, "table", tuple(zip(map(tuple, cols), map(tuple, weights))))
         object.__setattr__(self, "preds", preds)
+
+    @cached_property
+    def sparse_rows(self) -> tuple[RowTerms, ...]:
+        """RowTerms of the non-target rows with arcs, read only by dense solves."""
+        return tuple(
+            (i, itemgetter(*c), w) for i, (c, w) in enumerate(self.table[:-1]) if len(c) > 1
+        )
 
     def entry(self, i: int, j: int) -> Weight:
         """1-based accessor, for tests and route checks. Takes time in
@@ -206,4 +206,4 @@ def build_cost_matrix(g: Graph) -> CostMatrix:
 
     Never raises: the Graph checked its arcs when it was constructed.
     """
-    return CostMatrix(g.n, zip(g.src, g.dst, g.wt))
+    return CostMatrix(g.n, g.src, g.dst, g.wt)

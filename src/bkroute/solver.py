@@ -6,12 +6,12 @@ One engine, ``_solve``, repeats passes of
 
 starting from the vector that is 0 at the target (node n) and INF
 everywhere else, and stops as soon as a pass leaves the vector unchanged.
-A pass reads the matrix through ``CostMatrix.sparse_rows``, which holds
-for each row only its finite entries: its diagonal, then one per arc.
-An absent arc's INF term could never win the minimum, and a row with no
-arc stays INF, so a pass of at most n + m terms gets the result that the
-paper's n terms per row would. A pass function decides only how a pass
-reads v; it returns the new vector, or None when nothing changed:
+A dense matrix's pass reads every row through ``CostMatrix.sparse_rows``,
+which holds for each row only its finite entries: its diagonal, then one
+per arc. An absent arc's INF term could never win the minimum, and a row
+with no arc stays INF, so a pass of at most n + m terms gets the result
+that the paper's n terms per row would. A pass function decides only how
+a pass reads v; it returns the new vector, or None when nothing changed:
 
 * ``_simultaneous`` (``bk_classic``) recomputes every row from the
   previous pass's vector (Jacobi order);
@@ -39,8 +39,8 @@ the vector that a pass over all rows would, and sweeps, distances and
 trace snapshots are the same. The work of a pass is the in-arcs of the
 rows that changed, so on a sparse graph both orders make about the same
 number of changes at about the same cost, and bottom-up order saves
-sweeps but no longer time. A dense matrix has no ``preds``, and its passes
-evaluate every row, as the paper's do.
+sweeps but no longer time. No pass depends on the order of ``preds``:
+``best`` keeps a minimum, and ``_bottom_up`` sorts the rows it takes.
 
 Counting convention used by every counter downstream: ``sweeps`` is the
 number of executed passes, including the final confirming pass (the one
@@ -178,8 +178,8 @@ def _solve(
     trace: list[tuple[Weight, ...]] | None,
 ) -> SolveResult:
     n = a.n
-    view = a.sparse_rows
     preds = a.preds
+    view = a.sparse_rows if preds is None else ()
     v: list[Weight] = [INF] * n
     v[n - 1] = 0
     pending: Pending | None = None

@@ -1,4 +1,4 @@
-"""Shared test material: reference graphs, a hypothesis graph strategy and
+"""Shared test material: reference graphs, hypothesis graph strategies and
 the exhaustive enumerators that cross-check the solvers and the oracle."""
 
 from __future__ import annotations
@@ -23,6 +23,22 @@ def graphs(draw, min_n: int = 2, max_n: int = 8, min_w: int = 1, max_w: int = 10
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     return Graph(n, *zip(*[(i, j, draw(st.integers(min_w, max_w))) for i, j in chosen]))
+
+
+@st.composite
+def complete_graphs(draw, min_n: int = 2, max_n: int = 8):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return Graph(n, *zip(*[(i, j, draw(st.integers(0, 100))) for i, j in pairs]))
+
+
+@st.composite
+def gate_boundary_graphs(draw):
+    """m = 8n arcs, the densest matrix that keeps predecessor lists, or
+    m = 8n + 1, the sparsest that has none."""
+    g = draw(complete_graphs(min_n=10, max_n=14))
+    kept = draw(st.permutations(arcs(g)))[: 8 * g.n + draw(st.integers(0, 1))]
+    return Graph(g.n, *zip(*kept))
 
 
 #: Hard cap for the exhaustive enumerators (simple paths grow factorially).

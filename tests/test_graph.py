@@ -16,7 +16,8 @@ from bkroute import (
     build_cost_matrix,
     max_arcs,
 )
-from helpers import CHAIN, arcs, graphs
+from bkroute.graph import CostMatrix
+from helpers import CHAIN, arcs, complete_graphs, gate_boundary_graphs, graphs
 
 def test_max_arcs_values():
     assert max_arcs(2) == 2
@@ -125,8 +126,8 @@ def test_sparse_rows_hold_the_finite_entries_of_each_row():
 
 
 def test_preds_hold_the_arcs_into_each_node():
-    # 0-based node j -> the (row, weight) pairs of the arcs into j, rows ascending
-    assert build_cost_matrix(CHAIN).preds == {1: ((0, 1),), 2: ((1, 1),), 3: ((0, 10), (2, 1))}
+    # 0-based node j -> the (row, weight) pairs of the arcs into j, in arc order
+    assert build_cost_matrix(CHAIN).preds == {1: ((0, 1),), 2: ((1, 1),), 3: ((2, 1), (0, 10))}
     # the target's arc 3 -> 1 is left out with its row, which is never evaluated
     assert build_cost_matrix(Graph(3, *zip((2, 3, 1), (3, 1, 4)))).preds == {2: ((1, 1),)}
 
@@ -137,6 +138,48 @@ def test_preds_exist_up_to_eight_arcs_per_node():
     for m, sparse in ((0, True), (8 * n, True), (8 * n + 1, False), (len(pairs), False)):
         g = Graph(n, *zip(*[(i, j, 1) for i, j in pairs[:m]]))
         assert (build_cost_matrix(g).preds is not None) == sparse, m
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [graphs(), gate_boundary_graphs(), complete_graphs(min_n=12, max_n=20)],
+    ids=["graphs", "gate-boundary", "complete-n12-20"],
+)
+@given(data=st.data())
+def test_one_pass_build_matches_the_columns(strategy, data):
+    g = data.draw(strategy)
+    mat = build_cost_matrix(g)
+    assert len(mat.table) == g.n
+    for i, (cols, weights) in enumerate(mat.table):
+        row = [(j - 1, w) for k, j, w in arcs(g) if k - 1 == i]
+        assert list(zip(cols, weights)) == [(i, 0), *row]  # the diagonal, then arc order
+    assert (mat.preds is None) == (g.m > 8 * g.n)
+    if mat.preds is not None:
+        into: dict[int, list[tuple[int, int]]] = {}
+        for i, j, w in arcs(g):
+            if i != g.n:
+                into.setdefault(j - 1, []).append((i - 1, w))
+        assert {j: sorted(p) for j, p in mat.preds.items()} == {
+            j: sorted(p) for j, p in into.items()
+        }
+
+
+@pytest.mark.parametrize(
+    "n,src,dst,wt",
+    [
+        (3, (1, 2), (2, 3), (5,)),
+        (3, (1,), (2, 3), (5, 5)),
+        (2, (1,) * 16, (2,) * 17, (1,) * 17),
+        (2, (1,) * 17, (2,) * 16, (1,) * 17),
+        (2, (1,) * 17, (2,) * 17, (1,) * 18),
+    ],
+    ids=["sparse-short-wt", "sparse-short-src", "short-src-reads-sparse", "dense-short-dst",
+         "dense-long-wt"],
+)
+def test_matrix_refuses_columns_of_unequal_length(n, src, dst, wt):
+    # no arc is dropped silently, and the density gate never reads a wrong m
+    with pytest.raises(ValueError, match="shorter|longer"):
+        CostMatrix(n, src, dst, wt)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 4])

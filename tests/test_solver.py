@@ -5,7 +5,7 @@ import tracemalloc
 from operator import add
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bkroute import (
@@ -26,7 +26,15 @@ from bkroute import (
     oracle_distances,
 )
 from bkroute.graph import CostMatrix
-from helpers import CHAIN, arcs, bounded_distances, brute_force_distance, graphs
+from helpers import (
+    CHAIN,
+    arcs,
+    bounded_distances,
+    brute_force_distance,
+    complete_graphs,
+    gate_boundary_graphs,
+    graphs,
+)
 
 CHAIN_MAT = build_cost_matrix(CHAIN)
 
@@ -127,7 +135,7 @@ NEGATIVE_CYCLE = [(1, 2, -5), (1, 3, 0), (2, 1, 1), (2, 3, 0)]
 
 
 def test_divergent_matrix_is_detected():
-    mat = CostMatrix(3, NEGATIVE_CYCLE)
+    mat = CostMatrix(3, *zip(*NEGATIVE_CYCLE))
     assert mat.preds is not None  # sparse, so its passes take only the offered candidates
     for solve in (bk_classic, bk_accelerated):
         trace = []
@@ -175,26 +183,10 @@ def assert_matches_dense_reference(mat: CostMatrix) -> None:
 
 
 @st.composite
-def complete_graphs(draw, min_n: int = 2, max_n: int = 8):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return Graph(n, *zip(*[(i, j, draw(st.integers(0, 100))) for i, j in pairs]))
-
-
-@st.composite
 def graphs_with_sinks(draw):
     g = draw(graphs(min_w=0))
     sinks = draw(st.sets(st.integers(1, g.n - 1), min_size=1))
     return Graph(g.n, *zip(*[(i, j, w) for i, j, w in arcs(g) if i not in sinks]))
-
-
-@st.composite
-def gate_boundary_graphs(draw):
-    """m = 8n arcs, the densest matrix that keeps predecessor lists, or
-    m = 8n + 1, the sparsest that has none."""
-    g = draw(complete_graphs(min_n=10, max_n=14))
-    kept = draw(st.permutations(arcs(g)))[: 8 * g.n + draw(st.integers(0, 1))]
-    return Graph(g.n, *zip(*kept))
 
 
 @st.composite
@@ -245,12 +237,50 @@ def test_sparse_view_matches_dense_reference(strategy, data):
 
 
 @pytest.mark.parametrize(
+    "strategy",
+    [
+        graphs(min_w=0),
+        st.sampled_from(SPARSE_ROUTE_SET),
+        complete_graphs(),
+        gate_boundary_graphs(),
+        zero_weight_cycles(),
+    ],
+    ids=["min_w=0", "sparse-route-shaped", "complete", "gate-boundary", "zero-weight-cycle"],
+)
+@given(data=st.data())
+def test_solves_do_not_depend_on_the_order_of_preds(strategy, data):
+    g = data.draw(strategy)
+    mat = build_cost_matrix(g)
+    assume(mat.preds is not None)  # a gate-boundary draw with m = 8n + 1 holds none
+    flipped = build_cost_matrix(g)
+    object.__setattr__(flipped, "preds", {j: p[::-1] for j, p in mat.preds.items()})
+    for solve in (bk_classic, bk_accelerated):
+        trace, flipped_trace = [], []
+        r = solve(mat, trace=trace)
+        f = solve(flipped, trace=flipped_trace)
+        assert (r.distances, r.sweeps) == (f.distances, f.sweeps)
+        assert trace == flipped_trace
+
+
+def test_only_dense_solves_build_the_row_view():
+    sparse = build_cost_matrix(CHAIN)
+    pairs = [(i, j) for i in range(1, 13) for j in range(1, 13) if i != j]
+    dense = build_cost_matrix(Graph(12, *zip(*[(i, j, 1) for i, j in pairs])))
+    assert sparse.preds is not None and dense.preds is None
+    for mat in (sparse, dense):
+        for solve in (bk_classic, bk_accelerated):
+            extract_route(mat, solve(mat).distances)
+    assert "sparse_rows" not in vars(sparse)
+    assert "sparse_rows" in vars(dense)
+
+
+@pytest.mark.parametrize(
     "arcs",
     [[(2, 3, 5)], NEGATIVE_CYCLE],  # row 1 holds only its diagonal; no fixed point
     ids=["diagonal-only", "negative-cycle"],
 )
 def test_sparse_view_matches_dense_reference_on_edge_rows(arcs):
-    assert_matches_dense_reference(CostMatrix(3, arcs))
+    assert_matches_dense_reference(CostMatrix(3, *zip(*arcs)))
 
 
 @given(graphs(min_w=0))
