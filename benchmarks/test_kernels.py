@@ -101,6 +101,16 @@ def test_read_set(benchmark, bkset_file):
     assert spec == BKSET_SPEC and len(graphs) == BKSET_SPEC.count
 
 
+def test_read_set_large_record(benchmark, tmp_path):
+    # one record of 40000 arcs (0.5 MB), where what a read holds at once
+    # grows with the record, not with the file
+    g = GRAPHS["sparse-n10000-m40000"]
+    path = tmp_path / "large.bkset"
+    write_set([g], BKSET_SPEC, path)
+    _, graphs = benchmark(read_set, path)
+    assert graphs == [g]
+
+
 def test_write_set(benchmark, bkset_file, tmp_path):
     spec, graphs = read_set(bkset_file)
     dest = tmp_path / "copy.bkset"

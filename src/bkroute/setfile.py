@@ -12,15 +12,16 @@ integer is in canonical decimal form (the form ``str(int)`` gives):
 
 Arc lines appear in generation order; nothing is sorted, so re-writing
 what was read reproduces the file byte for byte. The reader never splits
-the file into lines: it walks the header lines with a cursor and matches
-each record's arc lines on the text with one regular expression, so a
-record's arcs are parsed in bulk.
+the file into lines: it walks the header lines with a cursor and parses a
+record's arc lines in bulk, accepting them only when writing the parsed
+integers back in the writer's own format reproduces the text. A record
+that does not is read again one line at a time, to name its first bad
+line.
 """
 
 from __future__ import annotations
 
-import re
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 from .generator import GenSpec
 from .graph import Graph, MalformedGraphError
@@ -29,15 +30,9 @@ MAGIC = "BKSET"
 VERSION = 1
 
 
-#: A canonical decimal integer, the form str(int) gives: no sign but a
-#: leading "-", no leading zero, no "-0". [0-9] rather than \d, which would
-#: also match non-ASCII digits.
-_TOKEN = "(?:0|-?[1-9][0-9]*)"
-
-#: The longest run of arc lines at a position: three canonical tokens
-#: separated by single spaces, then LF. Negative tokens are matched here so
-#: that a negative weight or node is reported by the Graph rules.
-_ARC_LINES = re.compile(f"(?:{_TOKEN} {_TOKEN} {_TOKEN}\n)*")
+#: One arc line as write_set writes it. An arc block is canonical exactly
+#: when this format, applied to the integers parsed from it, gives it back.
+_ARC_LINE = "%d %d %d\n"
 
 #: What each token of an arc line is, for error messages.
 _ARC_FIELDS = ("origin node", "destination node", "weight")
@@ -62,7 +57,7 @@ def write_set(graphs: Sequence[Graph], spec: GenSpec, dest) -> None:
             fh.write(f"G {g.n} {g.m}\n")
             values = [0] * (3 * g.m)  # i j w of each arc in turn, as read_set slices them
             values[0::3], values[1::3], values[2::3] = g.src, g.dst, g.wt
-            fh.write("%d %d %d\n" * g.m % tuple(values))
+            fh.write(_ARC_LINE * g.m % tuple(values))
 
 
 def _as_int(token: str, what: str, where: str) -> int:
@@ -93,15 +88,6 @@ def _int_fields(
     if len(tok) != len(names):
         raise CorruptFileError(malformed)
     return [_as_int(token, what, where) for token, what in zip(tok, names)]
-
-
-def _raise_arc_error(line: str | None, at: str) -> NoReturn:
-    """Raise the CorruptFileError for an arc line (None past the end of the
-    file) that is not three canonical decimal integers."""
-    if line is None:
-        raise CorruptFileError(f"unexpected end of file while reading {at}")
-    _int_fields(line, "", _ARC_FIELDS, at, f"{at}: expected 'i j w', got {line!r}")
-    raise AssertionError(f"{at}: arc line {line!r} is well formed")
 
 
 def _read_text(source) -> str:
@@ -169,23 +155,24 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
         )
         if m < 0:
             raise CorruptFileError(f"{where}: negative arc count {m}")
-        end = _ARC_LINES.match(text, pos).end()
-        found = text.count("\n", pos, end)
-        if found < m:
-            line = text[end : text.index("\n", end)] if end < len(text) else None
-            _raise_arc_error(line, f"{where}, arc {found + 1}")
-        if found > m:  # the record ends after its m-th arc line; the rest is read on
-            end = pos
-            for _ in range(m):
-                end = text.index("\n", end) + 1
-        tokens = text[pos:end].split()
-        pos = end
+        # valid arc lines hold only digits, "-", spaces and LF, so the next
+        # "G" starts the next record header
+        stop = text.find("G", pos)
+        block = text[pos : stop if stop >= 0 else len(text)]
         try:
-            values = tuple(map(int, tokens))
-        except ValueError:  # a token longer than int() accepts; _as_int names it
-            for k, token in enumerate(tokens):
-                _as_int(token, _ARC_FIELDS[k % 3], f"{where}, arc {k // 3 + 1}")
-            raise
+            values = tuple(map(int, block.split()))
+        except ValueError:  # not an int, or longer than int() accepts
+            values = ()
+        if len(values) == 3 * m and _ARC_LINE * m % values == block:
+            pos += len(block)
+        else:  # not m lines as write_set writes them: name the first bad one
+            values = []
+            for k in range(1, m + 1):
+                at = f"{where}, arc {k}"
+                line = next_line(at)
+                values += _int_fields(
+                    line, "", _ARC_FIELDS, at, f"{at}: expected 'i j w', got {line!r}"
+                )
         try:
             graphs.append(Graph(n, values[0::3], values[1::3], values[2::3]))
         except MalformedGraphError as exc:

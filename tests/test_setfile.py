@@ -3,6 +3,8 @@ from __future__ import annotations
 import os
 import random
 import tempfile
+import tracemalloc
+from typing import NoReturn
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,14 @@ from bkroute import (
     GenSpec,
     Graph,
     MalformedGraphError,
+    RngStream,
     UnsupportedFormatError,
+    draw_graph,
     generate_set,
     read_set,
     write_set,
 )
-from bkroute.setfile import MAGIC, VERSION, _as_int, _raise_arc_error
+from bkroute.setfile import _ARC_FIELDS, MAGIC, VERSION, _as_int, _int_fields
 
 TINY_SPEC = GenSpec(2, 2, 1, 1, 2, 42)
 
@@ -171,6 +175,11 @@ HEADER = "BKSET 1\nSPEC 2 4 1 5 7 100\n"
         ("COUNT 1\nG 2 1\n1 2 7", "^the final line feed is missing$"),
         ("COUNT 1\nG 2 0", "^the final line feed is missing$"),
         ("COUNT 0", "^the final line feed is missing$"),
+        # an arc block ends where the next "G" is, or at the end of the text
+        ("COUNT 2\nG 2 1\n1 2 7\n2 1 3\nG 2 1\n1 2 7\n", "graph 2: malformed record header '2 1 3'"),
+        ("COUNT 1\nG 2 1\n1 G 7\n", "graph 1, arc 1: destination node"),
+        ("COUNT 2\nG 2 2\n1 2 7\nG 2 1\n1 2 7\n", "graph 1, arc 2: origin node"),
+        ("COUNT 1\nG 3 1\n1 2 7\n\n", r"trailing data after the last record \(line 6\)"),
     ],
 )
 def test_corrupt_files_name_the_offending_record(tmp_path, body, msg):
@@ -195,6 +204,27 @@ def test_a_token_past_the_int_digit_limit_is_corrupt(tmp_path):
     text = HEADER + "COUNT 1\nG 3 2\n1 2 7\n2 3 " + "9" * 5000 + "\n"
     with pytest.raises(CorruptFileError, match="^graph 1, arc 2: weight is not a canonical"):
         read_set(_write(tmp_path, text))
+    # the first bad line is named, as the line-by-line reference names it,
+    # even when a later line is bad too
+    text = HEADER + "COUNT 1\nG 3 2\n1 2 " + "9" * 5000 + "\n2 3 +1\n"
+    with pytest.raises(CorruptFileError, match="^graph 1, arc 1: weight is not a canonical"):
+        read_set(_write(tmp_path, text))
+
+
+def test_reading_a_large_record_costs_a_small_multiple_of_its_text(tmp_path):
+    # one record of 50000 arcs, 0.49 MB of text; matching it with a
+    # backtracking regular expression took 30.8 MB
+    g = draw_graph(1000, 50000, RngStream(16), 9)
+    path = tmp_path / "large.bkset"
+    write_set([g], GenSpec(1000, 1000, 50000, 50000, 1, 16, 9), path)
+    tracemalloc.start()
+    try:
+        _, (back,) = read_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert back == g
 
 
 @pytest.mark.parametrize(
@@ -203,6 +233,15 @@ def test_a_token_past_the_int_digit_limit_is_corrupt(tmp_path):
 def test_unterminated_file_keeps_its_format_error(tmp_path, text, msg):
     with pytest.raises(UnsupportedFormatError, match=msg):
         read_set(_write(tmp_path, text))
+
+
+def _raise_arc_error(line: str | None, at: str) -> NoReturn:
+    """Raise the CorruptFileError for an arc line (None past the end of the
+    file) that is not three canonical decimal integers."""
+    if line is None:
+        raise CorruptFileError(f"unexpected end of file while reading {at}")
+    _int_fields(line, "", _ARC_FIELDS, at, f"{at}: expected 'i j w', got {line!r}")
+    raise AssertionError(f"{at}: arc line {line!r} is well formed")
 
 
 def _line_by_line_read_set(source):
