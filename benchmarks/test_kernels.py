@@ -102,8 +102,8 @@ def test_read_set(benchmark, bkset_file):
 
 
 def test_read_set_large_record(benchmark, tmp_path):
-    # one record of 40000 arcs (0.5 MB), where what a read holds at once
-    # grows with the record, not with the file
+    # one record of 40000 arcs (0.5 MB), which a read parses in slices of
+    # lines into the record's columns
     g = GRAPHS["sparse-n10000-m40000"]
     path = tmp_path / "large.bkset"
     write_set([g], BKSET_SPEC, path)
@@ -116,3 +116,11 @@ def test_write_set(benchmark, bkset_file, tmp_path):
     dest = tmp_path / "copy.bkset"
     benchmark(write_set, graphs, spec, dest)
     assert dest.read_bytes() == bkset_file.read_bytes()
+
+
+def test_write_set_large_record(benchmark, tmp_path):
+    # the same record, which a write formats in slices of lines
+    g = GRAPHS["sparse-n10000-m40000"]
+    path = tmp_path / "large.bkset"
+    benchmark(write_set, [g], BKSET_SPEC, path)
+    assert read_set(path)[1] == [g]

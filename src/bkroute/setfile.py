@@ -11,17 +11,21 @@ integer is in canonical decimal form (the form ``str(int)`` gives):
     i j w          <- exactly m arc lines
 
 Arc lines appear in generation order; nothing is sorted, so re-writing
-what was read reproduces the file byte for byte. The reader never splits
-the file into lines: it walks the header lines with a cursor and parses a
-record's arc lines in bulk, accepting them only when writing the parsed
-integers back in the writer's own format reproduces the text. A record
-that does not is read again one line at a time, to name its first bad
-line.
+what was read reproduces the file byte for byte. Both directions stream
+the file: neither ever holds its text, or all of a record's lines. The
+reader first makes the checks that need the whole file (UTF-8, the
+header, the final line feed) in one pass over fixed-size chunks. It then
+reads the header lines one at a time and a record's arc lines `_SLICE` at
+a time, accepting a slice only when writing the parsed integers back in
+the writer's own format reproduces its bytes. A slice that does not is
+read again one line at a time, to name its first bad line.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import codecs
+from itertools import islice
+from typing import BinaryIO, Sequence
 
 from .generator import GenSpec
 from .graph import Graph, MalformedGraphError
@@ -29,13 +33,28 @@ from .graph import Graph, MalformedGraphError
 MAGIC = "BKSET"
 VERSION = 1
 
+#: The first line of every BKSET file.
+_HEADER = f"{MAGIC} {VERSION}\n".encode()
 
-#: One arc line as write_set writes it. An arc block is canonical exactly
-#: when this format, applied to the integers parsed from it, gives it back.
-_ARC_LINE = "%d %d %d\n"
+#: One arc line as write_set writes it. A slice of arc lines is canonical
+#: exactly when this format, applied to the integers parsed from it, gives
+#: it back.
+_ARC_LINE = b"%d %d %d\n"
 
 #: What each token of an arc line is, for error messages.
 _ARC_FIELDS = ("origin node", "destination node", "weight")
+
+#: Arc lines read or written at once. Besides the graphs, a read or a write
+#: holds one slice of this many lines, about 200 bytes per line.
+_SLICE = 4096
+
+#: Bytes that the whole-file checks read at once.
+_CHUNK = 1 << 16
+
+#: Bytes of the first line that decide whether it is the header: at least
+#: len(MAGIC) + 1, so that no first token the prefix cuts passes for MAGIC.
+_PREFIX = 64
+
 
 class UnsupportedFormatError(ValueError):
     """The file is not a BKSET file, or its version is unknown."""
@@ -47,17 +66,21 @@ class CorruptFileError(ValueError):
 
 def write_set(graphs: Sequence[Graph], spec: GenSpec, dest) -> None:
     """Serialize a graph set and its generating GenSpec to `dest`."""
-    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+    with open(dest, "wb") as fh:
         fh.write(
-            f"{MAGIC} {VERSION}\n"
-            f"SPEC {spec.n1} {spec.n2} {spec.m1} {spec.m2} {spec.seed} {spec.weight_max}\n"
-            f"COUNT {len(graphs)}\n"
+            _HEADER
+            + f"SPEC {spec.n1} {spec.n2} {spec.m1} {spec.m2} {spec.seed} {spec.weight_max}\n"
+            f"COUNT {len(graphs)}\n".encode()
         )
         for g in graphs:
-            fh.write(f"G {g.n} {g.m}\n")
-            values = [0] * (3 * g.m)  # i j w of each arc in turn, as read_set slices them
-            values[0::3], values[1::3], values[2::3] = g.src, g.dst, g.wt
-            fh.write(_ARC_LINE * g.m % tuple(values))
+            fh.write(b"G %d %d\n" % (g.n, g.m))
+            for a in range(0, g.m, _SLICE):
+                src = g.src[a : a + _SLICE]
+                values = [0] * (3 * len(src))  # i j w of each arc in turn, as read_set parses them
+                values[0::3] = src
+                values[1::3] = g.dst[a : a + _SLICE]
+                values[2::3] = g.wt[a : a + _SLICE]
+                fh.write(_ARC_LINE * len(src) % tuple(values))
 
 
 def _as_int(token: str, what: str, where: str) -> int:
@@ -90,18 +113,51 @@ def _int_fields(
     return [_as_int(token, what, where) for token, what in zip(tok, names)]
 
 
-def _read_text(source) -> str:
-    """The file's text. Bytes that are not UTF-8 make it unsupported when its
-    first line is not the BKSET 1 header, and corrupt otherwise."""
-    with open(source, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        if data.partition(b"\n")[0] != f"{MAGIC} {VERSION}".encode():
-            raise UnsupportedFormatError("not a BKSET file") from None
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise CorruptFileError(f"line {line_no} is not UTF-8 text") from None
+def _check_file(fh: BinaryIO) -> None:
+    """Make the checks that need the whole file, in the order they take
+    precedence, and leave `fh` just past the header line.
+
+    Bytes that are not UTF-8 make the file unsupported when its first line
+    is not the BKSET 1 header, and corrupt otherwise. An empty file, a
+    first line other than the header and a missing final line feed come
+    after, in that order.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lines = 0  # line feeds before `chunk`
+    last = b""
+    while True:
+        cut = len(decoder.getstate()[0])  # bytes of a character that the last chunk cut
+        chunk = fh.read(_CHUNK)
+        try:
+            decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the first cut byte; a cut byte is never LF
+            line_no = lines + chunk.count(b"\n", 0, max(exc.start - cut, 0)) + 1
+            fh.seek(0)
+            if fh.read(len(_HEADER)) != _HEADER:
+                raise UnsupportedFormatError("not a BKSET file") from None
+            raise CorruptFileError(f"line {line_no} is not UTF-8 text") from None
+        if not chunk:
+            break
+        lines += chunk.count(b"\n")
+        last = chunk[-1:]
+    if not last:
+        raise UnsupportedFormatError("empty file is not a BKSET file")
+
+    magic = MAGIC.encode()
+    fh.seek(0)
+    first = fh.readline(_PREFIX)
+    head = first.removesuffix(b"\n").split(b" ")
+    if len(head) == 2 and head[0] == magic and not first.endswith(b"\n"):
+        # the prefix cut the version token, which the version message quotes
+        first += fh.readline()
+        head = first.removesuffix(b"\n").split(b" ")
+    if len(head) != 2 or head[0] != magic:
+        raise UnsupportedFormatError("not a BKSET file")
+    if head[1] != b"%d" % VERSION:
+        raise UnsupportedFormatError(f"unsupported BKSET version {head[1].decode()!r}")
+    if last != b"\n":
+        raise CorruptFileError("the final line feed is missing")
 
 
 def read_set(source) -> tuple[GenSpec, list[Graph]]:
@@ -111,74 +167,71 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
     version line and CorruptFileError, naming the offending record, for
     everything else, a missing final line feed included.
     """
-    text = _read_text(source)
-    if not text:
-        raise UnsupportedFormatError("empty file is not a BKSET file")
+    with open(source, "rb") as fh:
+        _check_file(fh)
 
-    head = text.partition("\n")[0].split(" ")
-    if len(head) != 2 or head[0] != MAGIC:
-        raise UnsupportedFormatError("not a BKSET file")
-    if head[1] != str(VERSION):
-        raise UnsupportedFormatError(f"unsupported BKSET version {head[1]!r}")
-    # every line ends in LF, so text.index("\n", pos) finds the end of any
-    # line that starts before the end of the text
-    if not text.endswith("\n"):
-        raise CorruptFileError("the final line feed is missing")
-    pos = text.index("\n") + 1
+        def next_line(context: str) -> str:
+            # every line ends in LF, so only the end of the file reads b""
+            line = fh.readline()
+            if not line:
+                raise CorruptFileError(f"unexpected end of file while reading {context}")
+            return line[:-1].decode()
 
-    def next_line(context: str) -> str:
-        nonlocal pos
-        if pos == len(text):
-            raise CorruptFileError(f"unexpected end of file while reading {context}")
-        end = text.index("\n", pos)
-        line = text[pos:end]
-        pos = end + 1
-        return line
-
-    n1, n2, m1, m2, seed, weight_max = _int_fields(
-        next_line("SPEC line"), "SPEC", ("n1", "n2", "m1", "m2", "seed", "weight_max"),
-        "SPEC line", "malformed SPEC line",
-    )
-    (count,) = _int_fields(
-        next_line("COUNT line"), "COUNT", ("count",), "COUNT line", "malformed COUNT line"
-    )
-    if count < 0:
-        raise CorruptFileError(f"negative count {count}")
-
-    graphs: list[Graph] = []
-    for gi in range(1, count + 1):
-        where = f"graph {gi}"
-        header = next_line(where)
-        n, m = _int_fields(
-            header, "G", ("node count", "arc count"), where,
-            f"{where}: malformed record header {header!r}",
+        n1, n2, m1, m2, seed, weight_max = _int_fields(
+            next_line("SPEC line"), "SPEC", ("n1", "n2", "m1", "m2", "seed", "weight_max"),
+            "SPEC line", "malformed SPEC line",
         )
-        if m < 0:
-            raise CorruptFileError(f"{where}: negative arc count {m}")
-        # valid arc lines hold only digits, "-", spaces and LF, so the next
-        # "G" starts the next record header
-        stop = text.find("G", pos)
-        block = text[pos : stop if stop >= 0 else len(text)]
-        try:
-            values = tuple(map(int, block.split()))
-        except ValueError:  # not an int, or longer than int() accepts
-            values = ()
-        if len(values) == 3 * m and _ARC_LINE * m % values == block:
-            pos += len(block)
-        else:  # not m lines as write_set writes them: name the first bad one
-            values = []
-            for k in range(1, m + 1):
-                at = f"{where}, arc {k}"
-                line = next_line(at)
-                values += _int_fields(
-                    line, "", _ARC_FIELDS, at, f"{at}: expected 'i j w', got {line!r}"
-                )
-        try:
-            graphs.append(Graph(n, values[0::3], values[1::3], values[2::3]))
-        except MalformedGraphError as exc:
-            raise CorruptFileError(f"{where}, {exc}") from None
+        (count,) = _int_fields(
+            next_line("COUNT line"), "COUNT", ("count",), "COUNT line", "malformed COUNT line"
+        )
+        if count < 0:
+            raise CorruptFileError(f"negative count {count}")
 
-    if pos != len(text):
-        line_no = text.count("\n", 0, pos) + 1
-        raise CorruptFileError(f"trailing data after the last record (line {line_no})")
+        graphs: list[Graph] = []
+        for gi in range(1, count + 1):
+            where = f"graph {gi}"
+            header = next_line(where)
+            n, m = _int_fields(
+                header, "G", ("node count", "arc count"), where,
+                f"{where}: malformed record header {header!r}",
+            )
+            if m < 0:
+                raise CorruptFileError(f"{where}: negative arc count {m}")
+            src: list[int] = []
+            dst: list[int] = []
+            wt: list[int] = []
+            while len(src) < m:
+                k = min(_SLICE, m - len(src))
+                start = fh.tell()
+                block = b"".join(islice(fh, k))
+                try:
+                    values = tuple(map(int, block.split()))
+                except ValueError:  # not an int, or longer than int() accepts
+                    values = ()
+                if len(values) == 3 * k and _ARC_LINE * k % values == block:
+                    src += values[0::3]
+                    dst += values[1::3]
+                    wt += values[2::3]
+                    continue
+                # not k lines as write_set writes them: the earlier slices
+                # were, so reading on line by line names the first bad line
+                fh.seek(start)
+                for a in range(len(src) + 1, m + 1):
+                    at = f"{where}, arc {a}"
+                    line = next_line(at)
+                    i, j, w = _int_fields(
+                        line, "", _ARC_FIELDS, at, f"{at}: expected 'i j w', got {line!r}"
+                    )
+                    src.append(i)
+                    dst.append(j)
+                    wt.append(w)
+            try:
+                graphs.append(Graph(n, src, dst, wt))
+            except MalformedGraphError as exc:
+                raise CorruptFileError(f"{where}, {exc}") from None
+
+        if fh.read(1):
+            # the header, SPEC and COUNT lines, then one line per record and per arc
+            line_no = 3 + count + sum(g.m for g in graphs) + 1
+            raise CorruptFileError(f"trailing data after the last record (line {line_no})")
     return GenSpec(n1, n2, m1, m2, count, seed, weight_max), graphs

@@ -23,6 +23,7 @@ from bkroute import (
     read_set,
     write_set,
 )
+from bkroute import setfile
 from bkroute.setfile import _ARC_FIELDS, MAGIC, VERSION, _as_int, _int_fields
 
 TINY_SPEC = GenSpec(2, 2, 1, 1, 2, 42)
@@ -227,6 +228,108 @@ def test_reading_a_large_record_costs_a_small_multiple_of_its_text(tmp_path):
     assert back == g
 
 
+def _wide_record(r: int, m: int) -> Graph:
+    """A record of m arc lines about as long as the format allows (nodes
+    near MAX_NODES, weights near 10**9), so that a file reaches megabytes
+    with few arcs."""
+    n = MAX_NODES
+    src = [n - k for k in range(m)]
+    return Graph(n, src, [(i - 2 - r) % n + 1 for i in src], [10**9 - k for k in range(m)])
+
+
+def _traced(fn, *args):
+    """fn(*args), and what it allocated beyond what it left held, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - held
+
+
+def test_reading_a_file_holds_its_graphs_and_one_slice(tmp_path):
+    # 40 records, 2.2 MB of text. Holding the whole text and a record's
+    # tokens cost 2.8 MB beyond the graphs, more for a larger file; one
+    # slice of lines costs the same whatever the size of the file.
+    graphs = [_wide_record(r, 2500) for r in range(40)]
+    path = tmp_path / "wide.bkset"
+    write_set(graphs, GenSpec(2, MAX_NODES, 1, 2500, 40, 3, 10**9), path)
+    assert path.stat().st_size > 2 * 10**6
+    (_, back), transient = _traced(read_set, path)
+    assert transient < 1.5 * 2**20
+    assert back == graphs
+
+
+def test_writing_a_large_record_holds_one_slice(tmp_path):
+    # one record of 10**5 arcs, about 2.2 MB of text; formatting it whole
+    # held a 3m-long list, its tuple and the record's text, 7.9 MB
+    g = _wide_record(0, 10**5)
+    path = tmp_path / "large.bkset"
+    _, transient = _traced(write_set, [g], GenSpec(2, MAX_NODES, 1, 10**5, 1, 3, 10**9), path)
+    assert transient < 2**20
+    assert read_set(path)[1] == [g]
+
+
+#: Three lines, 35 bytes: a valid file with no records.
+EMPTY_SET = b"BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 0\n"
+
+
+def _write_bytes(tmp_path, data: bytes):
+    path = tmp_path / "edge.bkset"
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize(
+    "char", ["\u00e9", "\u20ac", "\U0001f600"], ids=["2-byte", "3-byte", "4-byte"]
+)
+def test_a_character_cut_by_a_chunk_edge_is_text(tmp_path, monkeypatch, char):
+    monkeypatch.setattr(setfile, "_CHUNK", 16)
+    code = char.encode()
+    for before in range(1, len(code)):  # bytes of it in the chunk that ends at byte 48
+        data = EMPTY_SET + b"x" * (48 - len(EMPTY_SET) - before) + code + b"\n"
+        assert data[48 - before : 48 - before + len(code)] == code
+        with pytest.raises(CorruptFileError) as exc:
+            read_set(_write_bytes(tmp_path, data))
+        assert str(exc.value) == "trailing data after the last record (line 4)"
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b"y\xff\n",  # byte 48, the first of a chunk
+        b"\xff\n",  # byte 47, the last of a chunk
+        b"\xe2\n",  # a sequence the chunk edge cuts, then ended by LF
+        b"\xf0\x9f\x98",  # a sequence the end of the file cuts
+    ],
+    ids=["first-of-chunk", "last-of-chunk", "cut-then-bad", "cut-by-eof"],
+)
+def test_a_bad_byte_at_a_chunk_edge_is_named_by_its_line(tmp_path, monkeypatch, tail):
+    monkeypatch.setattr(setfile, "_CHUNK", 16)
+    data = EMPTY_SET + b"x\n" * 6 + tail  # lines 4 to 9 fill bytes 35 to 46
+    with pytest.raises(CorruptFileError, match="^line 10 is not UTF-8 text$"):
+        read_set(_write_bytes(tmp_path, data))
+
+
+@pytest.mark.parametrize(
+    "data,msg",
+    [
+        (b"BKSET 1" + b"0" * 200 + b"\n", "unsupported BKSET version '1" + "0" * 200 + "'"),
+        (b"BKSET " + b"1" * 200, "unsupported BKSET version '" + "1" * 200 + "'"),
+        (b"BKSET " + b"1" * 200 + b" 1\n", "not a BKSET file"),
+        (b"X" * 200, "not a BKSET file"),
+        (b"BKSET 1" + b"x" * 200 + b"\xff", "not a BKSET file"),
+    ],
+    ids=["long-version", "long-version-no-lf", "long-with-space", "bad-header", "not-utf8"],
+)
+def test_a_first_line_longer_than_the_prefix_keeps_its_message(tmp_path, data, msg):
+    assert len(data) > setfile._PREFIX
+    with pytest.raises(UnsupportedFormatError) as exc:
+        read_set(_write_bytes(tmp_path, data))
+    assert str(exc.value) == msg
+
+
 @pytest.mark.parametrize(
     "text,msg", [("XKSET 1", "not a BKSET file"), ("BKSET 2", "version '2'")]
 )
@@ -404,3 +507,19 @@ def test_reader_agrees_with_the_line_by_line_reference(tmp_path):
             messages.add(got[1])
     # the corpus reaches every kind of outcome, not only one
     assert read_ok > 50 and unterminated > 200 and len(messages) > 500
+
+
+def test_slice_and_chunk_sizes_change_no_outcome(tmp_path, monkeypatch):
+    # with 2-line slices and 5-byte chunks, records span many slices and
+    # lines span chunk edges; every outcome stays what the default sizes give
+    path = tmp_path / "m.bkset"
+    corpus = _mutated_corpus(path)[::3]
+    expected = []
+    for text in corpus:
+        path.write_bytes(text.encode("utf-8"))
+        expected.append(_outcome(read_set, path))
+    monkeypatch.setattr(setfile, "_SLICE", 2)
+    monkeypatch.setattr(setfile, "_CHUNK", 5)
+    for text, outcome in zip(corpus, expected):
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_set, path) == outcome, text
