@@ -9,6 +9,7 @@ ordinary 0-based sequences.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -56,7 +57,7 @@ class Graph:
 
     Arc k (0-based) runs from node src[k] to node dst[k] with weight wt[k].
     The columns may be any sequences of equal length and are stored as
-    tuples; `Graph(n)` has no arcs, and `Graph(n, *zip(*arcs))` transposes
+    arrays; `Graph(n)` has no arcs, and `Graph(n, *zip(*arcs))` transposes
     a list of (i, j, w) triples. Construction checks every invariant, so
     every Graph that exists holds them: n an int with 2 <= n <= MAX_NODES;
     i and j ints with 1 <= i, j <= n; i != j; no repeated ordered pair; w an
@@ -66,12 +67,18 @@ class Graph:
     start with "arc k" (1-based position in the columns) so callers can
     prefix their own context. The duplicate check needs memory proportional
     to m, not n*n.
+
+    Once checked, each column is copied into its own array('i'): 4 bytes
+    per value and no int object behind it, since every value a Graph
+    admits fits in 32 bits. The arrays iterate, slice and compare like the
+    sequences they came from, but they are mutable: treat them as
+    read-only, since a write would bypass the checks and change the hash.
     """
 
     n: int
-    src: tuple[int, ...] = ()
-    dst: tuple[int, ...] = ()
-    wt: tuple[int, ...] = ()
+    src: Sequence[int] = ()
+    dst: Sequence[int] = ()
+    wt: Sequence[int] = ()
 
     def __post_init__(self) -> None:
         n, src, dst, wt = self.n, self.src, self.dst, self.wt
@@ -81,9 +88,13 @@ class Graph:
                 f"columns differ in length: {len(src)}, {len(dst)}, {len(wt)}"
             )
         _check_arcs(n, zip(src, dst, wt))
-        object.__setattr__(self, "src", tuple(src))
-        object.__setattr__(self, "dst", tuple(dst))
-        object.__setattr__(self, "wt", tuple(wt))
+        object.__setattr__(self, "src", array("i", src))
+        object.__setattr__(self, "dst", array("i", dst))
+        object.__setattr__(self, "wt", array("i", wt))
+
+    def __hash__(self) -> int:
+        # arrays have no hash of their own; equal columns have equal bytes
+        return hash((self.n, self.src.tobytes(), self.dst.tobytes(), self.wt.tobytes()))
 
     @property
     def m(self) -> int:

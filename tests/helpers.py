@@ -3,6 +3,8 @@ the exhaustive enumerators that cross-check the solvers and the oracle."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 from hypothesis import strategies as st
 
 from bkroute import INF, Graph
@@ -10,6 +12,21 @@ from bkroute.graph import Weight
 
 # Four-node chain with a costly direct shortcut; the standing worked example.
 CHAIN = Graph(4, *zip((1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 10)))
+
+
+def within_memory_bound(make, *args, held: int | None = None):
+    """make(*args), asserting its traced peak stays under 64 MB and, given
+    `held`, that what is still traced when it returns stays under `held`
+    bytes: what it made, once its temporaries are gone."""
+    tracemalloc.start()
+    try:
+        made = make(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert held is None or current < held, current
+    return made
 
 
 def arcs(g: Graph) -> list[tuple[int, int, int]]:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import pickle
+from array import array
 
 import pytest
 from hypothesis import given
@@ -13,11 +15,20 @@ from bkroute import (
     MAX_WEIGHT,
     Graph,
     MalformedGraphError,
+    RngStream,
     build_cost_matrix,
+    draw_graph,
     max_arcs,
 )
 from bkroute.graph import CostMatrix
-from helpers import CHAIN, arcs, complete_graphs, gate_boundary_graphs, graphs
+from helpers import (
+    CHAIN,
+    arcs,
+    complete_graphs,
+    gate_boundary_graphs,
+    graphs,
+    within_memory_bound,
+)
 
 def test_max_arcs_values():
     assert max_arcs(2) == 2
@@ -56,17 +67,41 @@ def test_max_arcs_has_the_graph_node_count_rule(n, message):
 
 def test_graph_is_made_from_its_columns_only():
     assert str(inspect.signature(Graph)) == (
-        "(n: 'int', src: 'tuple[int, ...]' = (), dst: 'tuple[int, ...]' = (),"
-        " wt: 'tuple[int, ...]' = ()) -> None"
+        "(n: 'int', src: 'Sequence[int]' = (), dst: 'Sequence[int]' = (),"
+        " wt: 'Sequence[int]' = ()) -> None"
     )
 
 
-def test_graph_stores_its_columns_as_tuples():
+def test_graph_stores_its_columns_packed():
     g = Graph(3, [2, 1], [3, 3], [4, 6])
-    assert (g.src, g.dst, g.wt) == ((2, 1), (3, 3), (4, 6))
+    assert (g.src, g.dst, g.wt) == (array("i", (2, 1)), array("i", (3, 3)), array("i", (4, 6)))
+    assert (tuple(g.src), tuple(g.dst), tuple(g.wt)) == ((2, 1), (3, 3), (4, 6))
+    assert {(type(c), c.itemsize) for c in (g.src, g.dst, g.wt)} == {(array, 4)}
     assert g == Graph(3, (2, 1), (3, 3), (4, 6)) == Graph(3, *zip((2, 3, 4), (1, 3, 6)))
     assert g.m == 2
     assert (Graph(3).m, Graph(3)) == (0, Graph(3, (), (), ()))
+
+
+def test_graph_is_a_value():
+    src, dst, wt = [1, 2], [2, 3], [5, MAX_WEIGHT]
+    g = Graph(3, src, dst, wt)
+    twin = Graph(3, tuple(src), tuple(dst), tuple(wt))
+    # equal Graphs hash equal, so they work as set members and dict keys
+    assert hash(g) == hash(twin)
+    assert {g, twin, Graph(3, [1], [2], [5])} == {twin, Graph(3, (1,), (2,), (5,))}
+    assert pickle.loads(pickle.dumps(g)) == g
+    # the Graph holds copies, not the caller's lists
+    src[0], dst[1], wt[1] = 3, 1, 0
+    assert g == twin
+    assert (tuple(g.src), tuple(g.dst), tuple(g.wt)) == ((1, 2), (2, 3), (5, MAX_WEIGHT))
+
+
+def test_a_large_graph_holds_four_bytes_per_value():
+    # drawn, packed and the generator's columns dropped inside the trace, so
+    # what stays traced is the Graph: three int32 columns, about 12 bytes an arc
+    m = 10**5
+    g = within_memory_bound(draw_graph, 10**4, m, RngStream(18), 10**6, held=14 * m)
+    assert g.m == m and max(g.wt) > 2**16
 
 
 @pytest.mark.parametrize(
@@ -251,6 +286,11 @@ NODE_TYPE_RULE = "node indices must be integers"
         (3, [(True, 3, 5)], f"arc 1 (True, 3, 5): {NODE_TYPE_RULE}"),
         (3, [(1, 2, 5), (2, False, 5)], f"arc 2 (2, False, 5): {NODE_TYPE_RULE}"),
         (3, [(2.0, 2, -1)], f"arc 1 (2.0, 2, -1): {NODE_TYPE_RULE}"),
+        # values beyond the 32 bits a column packs: the same errors, never OverflowError
+        (3, [(1, 2, 2**31)], f"arc 1 (1, 2, 2147483648): {WEIGHT_RULE}"),
+        (3, [(1, 2, 2**40)], f"arc 1 (1, 2, 1099511627776): {WEIGHT_RULE}"),
+        (3, [(1, 2, -(2**40))], f"arc 1 (1, 2, -1099511627776): {WEIGHT_RULE}"),
+        (3, [(2**40, 2, 1)], "arc 1 (1099511627776, 2, 1): node index out of range for n=3"),
     ],
 )
 def test_graph_construction_raises_the_exact_text(n, arcs, text):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 
-from bkroute import INF, Graph, oracle_distances
+from bkroute import INF, MAX_NODES, MAX_WEIGHT, Graph, oracle_distances
 from helpers import (
     CHAIN,
     SizeLimitError,
@@ -23,6 +25,17 @@ def test_oracle_without_arcs():
 
 def test_oracle_arc_pointing_away_from_target():
     assert oracle_distances(Graph(2, *zip((2, 1, 5)))) == (INF, 0)
+
+
+def test_oracle_chain_at_max_nodes_in_arc_order():
+    # relaxing the arc list in order made one pass per node on this chain,
+    # about 11 minutes at MAX_NODES; the bound leaves room for a slow host
+    n = MAX_NODES
+    chain = Graph(n, range(1, n), range(2, n + 1), [MAX_WEIGHT] * (n - 1))
+    start = time.perf_counter()
+    dist = oracle_distances(chain)
+    assert time.perf_counter() - start < 5
+    assert dist == tuple(MAX_WEIGHT * (n - k) for k in range(1, n + 1))
 
 
 def test_brute_force_chain():

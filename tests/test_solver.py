@@ -34,6 +34,7 @@ from helpers import (
     complete_graphs,
     gate_boundary_graphs,
     graphs,
+    within_memory_bound,
 )
 
 CHAIN_MAT = build_cost_matrix(CHAIN)
@@ -312,18 +313,6 @@ def test_oracle_and_methods_match_networkx_dijkstra(strategy, data):
 
 #: The n that MAX_WEIGHT's headroom is sized for.
 LARGE_N = 10**4
-
-
-def within_memory_bound(make, *args):
-    """make(*args), asserting its traced peak stays under 64 MB."""
-    tracemalloc.start()
-    try:
-        made = make(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    return made
 
 
 def test_matrix_without_arcs_holds_no_predecessor_lists():
