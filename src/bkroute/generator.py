@@ -26,6 +26,7 @@ draw above is one ``uniform_int`` call, and each try of a draw is one
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, floordiv, ge, mod
@@ -139,11 +140,16 @@ def draw_graph(
     m = min(m_requested, pool)
     positions = rng.sample_positions(pool, m)
     # 1-based decode of pair index p: i = p // (n-1) + 1, and with
-    # r = p % (n-1) + 1, j = r if r < i else r + 1
-    src = tuple(map(add, map(floordiv, positions, repeat(n - 1)), repeat(1)))
-    r = tuple(map(add, map(mod, positions, repeat(n - 1)), repeat(1)))
-    dst = tuple(map(add, r, map(ge, r, src)))
-    wt = [rng.uniform_int(1, weight_max) for _ in range(m)]
+    # r = p % (n-1) + 1, j = r if r < i else r + 1. Each column is packed
+    # as a Graph holds it as soon as it is made (from a list: an array
+    # converts each value of an iterator twice), and the lists are dropped
+    # before the Graph checks its arcs.
+    src = array("i", list(map(add, map(floordiv, positions, repeat(n - 1)), repeat(1))))
+    r = list(map(add, map(mod, positions, repeat(n - 1)), repeat(1)))
+    del positions
+    dst = array("i", list(map(add, r, map(ge, r, src))))
+    del r
+    wt = array("i", [rng.uniform_int(1, weight_max) for _ in range(m)])
     return Graph(n, src, dst, wt)
 
 

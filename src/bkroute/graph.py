@@ -65,8 +65,9 @@ class Graph:
     float equal to an int, is refused, since it would not survive a BKSET
     round trip. The first broken rule raises MalformedGraphError; arc errors
     start with "arc k" (1-based position in the columns) so callers can
-    prefix their own context. The duplicate check needs memory proportional
-    to m, not n*n.
+    prefix their own context. The duplicate check marks each ordered pair
+    in a table of n*n bytes when that is at most 16 bytes per arc, and in a
+    set of about 88 bytes per arc only for sparser graphs.
 
     Once checked, each column is copied into its own array('i'): 4 bytes
     per value and no int object behind it, since every value a Graph
@@ -87,7 +88,7 @@ class Graph:
             raise MalformedGraphError(
                 f"columns differ in length: {len(src)}, {len(dst)}, {len(wt)}"
             )
-        _check_arcs(n, zip(src, dst, wt))
+        _check_arcs(n, len(src), zip(src, dst, wt))
         object.__setattr__(self, "src", array("i", src))
         object.__setattr__(self, "dst", array("i", dst))
         object.__setattr__(self, "wt", array("i", wt))
@@ -110,11 +111,14 @@ def _check_node_count(n: int) -> None:
         raise MalformedGraphError(f"node count must be at most {MAX_NODES}, got {n}")
 
 
-def _check_arcs(n: int, arcs: Iterable[tuple[int, int, int]]) -> None:
-    """Check the (i, j, w) triples that zip(src, dst, wt) yields, one by
+def _check_arcs(n: int, m: int, arcs: Iterable[tuple[int, int, int]]) -> None:
+    """Check the m (i, j, w) triples that zip(src, dst, wt) yields, one by
     one, in the order the Graph docstring gives the rules; the first broken
     arc raises MalformedGraphError."""
-    seen: set[int] = set()  # i*n + j, one int per ordered pair once i, j are in range
+    # the ordered pairs seen, by key i*n + j once i, j are in range: a byte
+    # per possible key where that costs at most 16 bytes per arc, else a set
+    dense = n * n <= 16 * m
+    seen = bytearray(n * n + n + 1) if dense else set()
     for k, (i, j, w) in enumerate(arcs, start=1):
         if type(i) is not int or type(j) is not int:
             reason = "node indices must be integers"
@@ -124,11 +128,16 @@ def _check_arcs(n: int, arcs: Iterable[tuple[int, int, int]]) -> None:
             reason = "loop arcs are not allowed"
         elif type(w) is not int or not 0 <= w <= MAX_WEIGHT:
             reason = f"weight must be an integer in [0, {MAX_WEIGHT}]"
-        elif (key := i * n + j) in seen:
-            reason = f"duplicate ordered pair ({i}, {j})"
         else:
-            seen.add(key)
-            continue
+            key = i * n + j
+            if dense:
+                if not seen[key]:
+                    seen[key] = 1
+                    continue
+            elif key not in seen:
+                seen.add(key)
+                continue
+            reason = f"duplicate ordered pair ({i}, {j})"
         raise MalformedGraphError(f"arc {k} ({i}, {j}, {w}): {reason}")
 
 

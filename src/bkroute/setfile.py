@@ -17,13 +17,18 @@ reader first makes the checks that need the whole file (UTF-8, the
 header, the final line feed) in one pass over fixed-size chunks. It then
 reads the header lines one at a time and a record's arc lines `_SLICE` at
 a time, accepting a slice only when writing the parsed integers back in
-the writer's own format reproduces its bytes. A slice that does not is
-read again one line at a time, to name its first bad line.
+the writer's own format reproduces its bytes. An accepted slice is packed
+into the record's three array('i') columns, 12 bytes per arc, which the
+Graph copies as they are. A slice that is not accepted, or that holds a
+value beyond 32 bits (which no Graph admits), is read again one line at a
+time, with the rest of its record, into list columns: to name its first
+bad line, or else to let the Graph name its first bad arc.
 """
 
 from __future__ import annotations
 
 import codecs
+from array import array
 from itertools import islice
 from typing import BinaryIO, Sequence
 
@@ -197,9 +202,7 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
             )
             if m < 0:
                 raise CorruptFileError(f"{where}: negative arc count {m}")
-            src: list[int] = []
-            dst: list[int] = []
-            wt: list[int] = []
+            src, dst, wt = array("i"), array("i"), array("i")
             while len(src) < m:
                 k = min(_SLICE, m - len(src))
                 start = fh.tell()
@@ -209,13 +212,21 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
                 except ValueError:  # not an int, or longer than int() accepts
                     values = ()
                 if len(values) == 3 * k and _ARC_LINE * k % values == block:
-                    src += values[0::3]
-                    dst += values[1::3]
-                    wt += values[2::3]
-                    continue
-                # not k lines as write_set writes them: the earlier slices
-                # were, so reading on line by line names the first bad line
+                    try:
+                        packed = array("i", values)
+                    except OverflowError:  # no Graph admits a value beyond 32 bits
+                        pass
+                    else:
+                        src += packed[0::3]
+                        dst += packed[1::3]
+                        wt += packed[2::3]
+                        continue
+                # not k lines as write_set writes them, or a value too large
+                # to pack: the earlier slices were neither, so reading on line
+                # by line into lists names the first bad line, or lets the
+                # Graph name the first bad arc
                 fh.seek(start)
+                src, dst, wt = src.tolist(), dst.tolist(), wt.tolist()
                 for a in range(len(src) + 1, m + 1):
                     at = f"{where}, arc {a}"
                     line = next_line(at)

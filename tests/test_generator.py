@@ -19,6 +19,7 @@ from bkroute import (
     max_arcs,
     write_set,
 )
+from helpers import within_memory_bound
 
 
 def test_genspec_accepts_sane_bounds():
@@ -177,6 +178,20 @@ def test_draw_graph_shape_and_weights():
     assert len(set(pairs)) == len(pairs)
     assert all(i != j for i, j in pairs)
     assert all(1 <= w <= 100 for w in g.wt)
+
+
+@pytest.mark.parametrize(
+    "n,m,seed,weight_max,peak",
+    [(90, 7800, 7, 100, 0.6 * 2**20), (10**4, 2 * 10**5, 3, 10**6, 32 * 2**20)],
+    ids=["n90-m7800", "n10000-m200000"],
+)
+def test_a_draw_holds_no_boxed_columns_at_its_peak(n, m, seed, weight_max, peak):
+    # the positions are decoded into packed columns and dropped before the
+    # Graph checks its arcs (by a byte table at n=90), so the sampler's own
+    # dict and list set the peak; tuple columns and a set of pairs took
+    # 1.31 and 54.5 MiB
+    g = within_memory_bound(draw_graph, n, m, RngStream(seed), weight_max, peak=peak)
+    assert g.m == m
 
 
 def test_draw_graph_clamps_to_complete():

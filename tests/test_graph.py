@@ -104,6 +104,14 @@ def test_a_large_graph_holds_four_bytes_per_value():
     assert g.m == m and max(g.wt) > 2**16
 
 
+def test_checking_a_graph_costs_little_beyond_its_columns():
+    # n*n <= 16*m: the duplicate check marks a table of n*n bytes (1 MB),
+    # not a set of 10**5 ints (8.4 MiB), and the packed copies take 1.2 MB
+    g = draw_graph(1000, 10**5, RngStream(16), 9)
+    columns = list(g.src), list(g.dst), list(g.wt)
+    assert within_memory_bound(Graph, 1000, *columns, peak=2 * 2**20) == g
+
+
 @pytest.mark.parametrize(
     "columns,text",
     [
@@ -291,6 +299,35 @@ NODE_TYPE_RULE = "node indices must be integers"
         (3, [(1, 2, 2**40)], f"arc 1 (1, 2, 1099511627776): {WEIGHT_RULE}"),
         (3, [(1, 2, -(2**40))], f"arc 1 (1, 2, -1099511627776): {WEIGHT_RULE}"),
         (3, [(2**40, 2, 1)], "arc 1 (1099511627776, 2, 1): node index out of range for n=3"),
+        # both duplicate checks, with a duplicate before and after an
+        # out-of-range arc and on the highest key, (n, n-1): n=3 marks a
+        # byte table (n*n <= 16*m), n=MAX_NODES with 3 arcs a set
+        (3, [(1, 2, 3), (1, 2, 4), (1, 4, 5)], "arc 2 (1, 2, 4): duplicate ordered pair (1, 2)"),
+        (3, [(1, 2, 3), (1, 4, 5), (1, 2, 4)], "arc 2 (1, 4, 5): node index out of range for n=3"),
+        (
+            3,
+            [(3, 2, 1), (2, 3, 1), (1, 2, 1), (3, 2, 0)],
+            "arc 4 (3, 2, 0): duplicate ordered pair (3, 2)",
+        ),
+        (
+            MAX_NODES,
+            [(1, 2, 3), (1, 2, 4), (1, MAX_NODES + 1, 5)],
+            "arc 2 (1, 2, 4): duplicate ordered pair (1, 2)",
+        ),
+        (
+            MAX_NODES,
+            [(1, 2, 3), (1, MAX_NODES + 1, 5), (1, 2, 4)],
+            "arc 2 (1, 100001, 5): node index out of range for n=100000",
+        ),
+        (
+            MAX_NODES,
+            [
+                (MAX_NODES, MAX_NODES - 1, 1),
+                (MAX_NODES - 1, MAX_NODES, 1),
+                (MAX_NODES, MAX_NODES - 1, 0),
+            ],
+            "arc 3 (100000, 99999, 0): duplicate ordered pair (100000, 99999)",
+        ),
     ],
 )
 def test_graph_construction_raises_the_exact_text(n, arcs, text):
@@ -351,6 +388,32 @@ def test_graph_construction_names_the_first_broken_arc(case):
         [0 if i == j else lookup.get((i, j), INF) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
+
+
+@st.composite
+def repeating_triples(draw):
+    """Arc lists on few pairs, so repeats are common, that reach both
+    duplicate checks: n=3 always marks a byte table, n=40 from 100 arcs on,
+    and n=MAX_NODES always a set."""
+    n = draw(st.sampled_from([3, 40, MAX_NODES]))
+    node = st.sampled_from([0, 1, 2, n - 1, n, n + 1])
+    weight = st.sampled_from([-1, 0, 7])
+    return n, draw(st.lists(st.tuples(node, node, weight), max_size=120))
+
+
+@given(repeating_triples())
+def test_both_duplicate_checks_name_the_first_broken_arc(case):
+    n, arcs = case
+    broken = _first_broken_rule(n, arcs)
+    if broken is None:
+        g = Graph(n, *zip(*arcs))
+        assert list(zip(g.src, g.dst, g.wt)) == arcs
+        return
+    k, reason = broken
+    i, j, w = arcs[k - 1]
+    with pytest.raises(MalformedGraphError) as exc:
+        Graph(n, *zip(*arcs))
+    assert str(exc.value) == f"arc {k} ({i}, {j}, {w}): {reason}"
 
 
 @given(graphs(min_w=0))

@@ -25,6 +25,7 @@ from bkroute import (
 )
 from bkroute import setfile
 from bkroute.setfile import _ARC_FIELDS, MAGIC, VERSION, _as_int, _int_fields
+from helpers import within_memory_bound
 
 TINY_SPEC = GenSpec(2, 2, 1, 1, 2, 42)
 
@@ -226,6 +227,56 @@ def test_reading_a_large_record_costs_a_small_multiple_of_its_text(tmp_path):
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert back == g
+
+
+def test_reading_a_record_packs_its_columns_as_it_goes(tmp_path):
+    # one record of 10**5 arcs (n=1000, 0.98 MB of text): each slice is
+    # packed into the record's columns, and the duplicate check marks a
+    # 1 MB byte table; list columns and a set of pairs peaked at 14.75 MiB
+    g = draw_graph(1000, 10**5, RngStream(16), 9)
+    path = tmp_path / "large.bkset"
+    write_set([g], GenSpec(1000, 1000, 10**5, 10**5, 1, 16, 9), path)
+    _, (back,) = within_memory_bound(read_set, path, peak=4 * 2**20)
+    assert back == g
+
+
+@pytest.mark.parametrize("slice_lines", [None, 2])
+@pytest.mark.parametrize("big", [2**31, 2**63, 2**64, -(2**31) - 1])
+@pytest.mark.parametrize(
+    "field,reason",
+    [
+        (0, "node index out of range for n=3"),
+        (1, "node index out of range for n=3"),
+        (2, "weight must be an integer in [0, 1000000000]"),
+    ],
+    ids=["origin", "destination", "weight"],
+)
+def test_a_value_beyond_32_bits_names_its_arc(
+    tmp_path, monkeypatch, slice_lines, big, field, reason
+):
+    # no Graph admits such a value, so the old texts are expected, never an
+    # OverflowError from packing the record's columns
+    if slice_lines:  # the bad line in a later slice than the first
+        monkeypatch.setattr(setfile, "_SLICE", slice_lines)
+    arc = [3, 2, 9]
+    arc[field] = big
+    lines = ["1 2 7", "2 3 5", "%d %d %d" % tuple(arc), "3 1 4"]
+    cases = [
+        (lines, f"graph 1, arc 3 ({arc[0]}, {arc[1]}, {arc[2]}): {reason}"),
+        # a duplicate before it is the first broken arc
+        (
+            lines[:1] + ["1 2 8"] + lines[2:],
+            "graph 1, arc 2 (1, 2, 8): duplicate ordered pair (1, 2)",
+        ),
+        # a line that is not an arc line is found before any arc is checked
+        (lines[:3] + ["3 1 +4"], "graph 1, arc 4: weight is not a canonical decimal integer: '+4'"),
+    ]
+    for arc_lines, text in cases:
+        path = _write(tmp_path, HEADER + "COUNT 1\nG 3 4\n" + "\n".join(arc_lines) + "\n")
+        with pytest.raises(CorruptFileError) as exc:
+            read_set(path)
+        assert str(exc.value) == text
+        assert _outcome(_line_by_line_read_set, path) == (CorruptFileError, text)
 
 
 def _wide_record(r: int, m: int) -> Graph:
