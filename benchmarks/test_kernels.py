@@ -1,6 +1,7 @@
 """Micro-benchmarks of graph generation, graph construction (where the arc
 rules are checked), the matrix build, the two sweep kernels (also on a long
-chain), route extraction and the BKSET reader and writer.
+chain), route extraction, the BKSET reader and writer and the timed solves
+of a whole set.
 
 Run from the root of a source checkout:
 
@@ -20,6 +21,7 @@ from bkroute import (
     GenSpec,
     Graph,
     RngStream,
+    TimingPolicy,
     bk_accelerated,
     bk_classic,
     build_cost_matrix,
@@ -27,6 +29,7 @@ from bkroute import (
     extract_route,
     generate_set,
     read_set,
+    time_solver,
     write_set,
 )
 
@@ -124,3 +127,16 @@ def test_write_set_large_record(benchmark, tmp_path):
     path = tmp_path / "large.bkset"
     benchmark(write_set, [g], BKSET_SPEC, path)
     assert read_set(path)[1] == [g]
+
+
+@pytest.mark.parametrize(
+    "method,solve",
+    [("classic", bk_classic), ("accelerated", bk_accelerated)],
+    ids=["classic", "accelerated"],
+)
+def test_time_solver(benchmark, method, solve):
+    # each graph's matrix built once, then solved with a clock read around
+    # the solve, as `bkroute bench` times a set
+    graphs = generate_set(BKSET_SPEC)
+    timing = benchmark(time_solver, graphs, method, TimingPolicy(1))
+    assert timing.sweeps_total == sum(solve(build_cost_matrix(g)).sweeps for g in graphs)

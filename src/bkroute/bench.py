@@ -1,10 +1,15 @@
 """Benchmark harness: timed solver comparisons over graph sets, identity
 verification against the oracle, and the two fixed measurement grids.
 
-Timing methodology, also echoed in every report's environment note: cost
-matrices are built before the clock starts, the timed region covers
-solver calls only, and the reported time is the minimum over ``repeats``
-runs of the whole set on the monotonic ``perf_counter_ns`` clock.
+Timing methodology, also echoed in every report's environment note: the
+timed region covers solver calls only, and the reported time is the
+minimum over ``repeats`` runs of the whole set on the monotonic
+``perf_counter_ns`` clock. The runs are gathered graph by graph: each
+graph's cost matrix is built outside the clock, then solved ``repeats``
+times back to back, each solve timed on its own and added to its run's
+total. So a benchmark holds one matrix at a time besides the set's
+Graphs, however many graphs the set has.
+
 Hardware-independent work counters (sweeps, relaxations) accompany every
 timing so results stay comparable across machines; wall-clock ratios are
 reported, never asserted.
@@ -133,35 +138,37 @@ def time_solver(
 ) -> MethodTiming:
     """Time one solver over a whole set.
 
-    Matrices are built before the clock starts. A solver failure is
-    re-raised with the offending 1-based graph number attached.
+    Each graph's matrix is built before its solves, which run back to back,
+    one per repeat, each timed on its own. Repeat r's time is the sum of
+    the graphs' r-th solves, and the elapsed time the least of these sums.
+    Only one matrix is alive at a time. A solver failure is re-raised with
+    the offending 1-based graph number attached.
     """
     if not graphs:
         raise ValueError("graph set is empty")
     if method not in _SOLVERS:
         raise ValueError(f"unknown method {method!r}")
     solve = _SOLVERS[method]
-    mats = [build_cost_matrix(g) for g in graphs]
-    best_ns: int | None = None
-    for _ in range(policy.repeats):
-        results = []
-        t0 = time.perf_counter_ns()
+    totals_ns = [0] * policy.repeats
+    sweeps = relaxations = 0
+    for gi, g in enumerate(graphs, start=1):
+        mat = build_cost_matrix(g)
         try:
-            for gi, mat in enumerate(mats, start=1):
-                results.append(solve(mat))
+            for r in range(policy.repeats):
+                t0 = time.perf_counter_ns()
+                result = solve(mat)
+                totals_ns[r] += time.perf_counter_ns() - t0
         except ConvergenceError as exc:
             raise ConvergenceError(f"graph {gi}: {exc}") from exc
-        dt = time.perf_counter_ns() - t0
-        best_ns = dt if best_ns is None else min(best_ns, dt)
-    return MethodTiming(
-        best_ns / 1e6,
-        sum(r.sweeps for r in results),
-        sum(r.relaxations for r in results),
-    )
+        del mat  # before the next graph's matrix is built
+        sweeps += result.sweeps
+        relaxations += result.relaxations
+    return MethodTiming(min(totals_ns) / 1e6, sweeps, relaxations)
 
 
 def verify_equivalence(graphs: list[Graph]) -> tuple[int, ...]:
-    """Check classic == accelerated == oracle distances on every graph.
+    """Check classic == accelerated == oracle distances on every graph,
+    holding one graph's matrix at a time.
 
     Returns the 1-based numbers of the graphs where they differ, so an
     empty tuple means the whole set agrees.
@@ -177,6 +184,7 @@ def verify_equivalence(graphs: list[Graph]) -> tuple[int, ...]:
             == oracle_distances(g)
         ):
             mismatched.append(gi)
+        del mat  # before the next graph's matrix is built
     return tuple(mismatched)
 
 

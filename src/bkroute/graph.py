@@ -111,15 +111,17 @@ def _check_node_count(n: int) -> None:
         raise MalformedGraphError(f"node count must be at most {MAX_NODES}, got {n}")
 
 
-def _check_arcs(n: int, m: int, arcs: Iterable[tuple[int, int, int]]) -> None:
+def _check_arcs(
+    n: int, m: int, arcs: Iterable[tuple[int, int, int]], first: int = 1
+) -> None:
     """Check the m (i, j, w) triples that zip(src, dst, wt) yields, one by
     one, in the order the Graph docstring gives the rules; the first broken
-    arc raises MalformedGraphError."""
+    arc raises MalformedGraphError, which numbers the arcs from `first`."""
     # the ordered pairs seen, by key i*n + j once i, j are in range: a byte
     # per possible key where that costs at most 16 bytes per arc, else a set
     dense = n * n <= 16 * m
     seen = bytearray(n * n + n + 1) if dense else set()
-    for k, (i, j, w) in enumerate(arcs, start=1):
+    for k, (i, j, w) in enumerate(arcs, start=first):
         if type(i) is not int or type(j) is not int:
             reason = "node indices must be integers"
         elif not (1 <= i <= n and 1 <= j <= n):

@@ -19,10 +19,12 @@ reads the header lines one at a time and a record's arc lines `_SLICE` at
 a time, accepting a slice only when writing the parsed integers back in
 the writer's own format reproduces its bytes. An accepted slice is packed
 into the record's three array('i') columns, 12 bytes per arc, which the
-Graph copies as they are. A slice that is not accepted, or that holds a
-value beyond 32 bits (which no Graph admits), is read again one line at a
-time, with the rest of its record, into list columns: to name its first
-bad line, or else to let the Graph name its first bad arc.
+Graph copies as they are. A slice that is not accepted is read again one
+line at a time, to name its first bad line. An arc holding a value beyond
+32 bits breaks a Graph rule, as may an earlier arc: the columns keep the
+arcs before it and no later one, the rest of the record is still read for
+its text errors, and then the Graph checks the arcs kept and that arc in
+turn, to name the first bad one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import islice
 from typing import BinaryIO, Sequence
 
 from .generator import GenSpec
-from .graph import Graph, MalformedGraphError
+from .graph import Graph, MalformedGraphError, _check_arcs
 
 MAGIC = "BKSET"
 VERSION = 1
@@ -52,6 +54,9 @@ _ARC_FIELDS = ("origin node", "destination node", "weight")
 #: Arc lines read or written at once. Besides the graphs, a read or a write
 #: holds one slice of this many lines, about 200 bytes per line.
 _SLICE = 4096
+
+#: The values an array('i') column holds.
+_INT32 = range(-(2**31), 2**31)
 
 #: Bytes that the whole-file checks read at once.
 _CHUNK = 1 << 16
@@ -203,43 +208,48 @@ def read_set(source) -> tuple[GenSpec, list[Graph]]:
             if m < 0:
                 raise CorruptFileError(f"{where}: negative arc count {m}")
             src, dst, wt = array("i"), array("i"), array("i")
-            while len(src) < m:
-                k = min(_SLICE, m - len(src))
+            bad = None  # the number and values of the first arc beyond 32 bits
+            for a in range(0, m, _SLICE):
+                k = min(_SLICE, m - a)
                 start = fh.tell()
                 block = b"".join(islice(fh, k))
                 try:
                     values = tuple(map(int, block.split()))
                 except ValueError:  # not an int, or longer than int() accepts
                     values = ()
-                if len(values) == 3 * k and _ARC_LINE * k % values == block:
-                    try:
-                        packed = array("i", values)
-                    except OverflowError:  # no Graph admits a value beyond 32 bits
-                        pass
-                    else:
-                        src += packed[0::3]
-                        dst += packed[1::3]
-                        wt += packed[2::3]
-                        continue
-                # not k lines as write_set writes them, or a value too large
-                # to pack: the earlier slices were neither, so reading on line
-                # by line into lists names the first bad line, or lets the
-                # Graph name the first bad arc
-                fh.seek(start)
-                src, dst, wt = src.tolist(), dst.tolist(), wt.tolist()
-                for a in range(len(src) + 1, m + 1):
-                    at = f"{where}, arc {a}"
-                    line = next_line(at)
-                    i, j, w = _int_fields(
-                        line, "", _ARC_FIELDS, at, f"{at}: expected 'i j w', got {line!r}"
-                    )
-                    src.append(i)
-                    dst.append(j)
-                    wt.append(w)
+                if len(values) != 3 * k or _ARC_LINE * k % values != block:
+                    # not k lines as write_set writes them: the earlier slices
+                    # were, so reading this one again line by line names the
+                    # first bad line
+                    fh.seek(start)
+                    values = []
+                    for b in range(a + 1, a + k + 1):
+                        at = f"{where}, arc {b}"
+                        line = next_line(at)
+                        values += _int_fields(
+                            line, "", _ARC_FIELDS, at, f"{at}: expected 'i j w', got {line!r}"
+                        )
+                if bad is not None:
+                    continue  # the record is refused; its lines are read for their text errors
+                try:
+                    packed = array("i", values)
+                except OverflowError:
+                    # no Graph admits a value beyond 32 bits, so that arc or an
+                    # earlier one breaks a rule: keep only the arcs before it
+                    cut = next(x for x, v in enumerate(values) if v not in _INT32) // 3 * 3
+                    packed = array("i", values[:cut])
+                    bad = (a + cut // 3 + 1, values[cut : cut + 3])
+                src += packed[0::3]
+                dst += packed[1::3]
+                wt += packed[2::3]
             try:
-                graphs.append(Graph(n, src, dst, wt))
+                g = Graph(n, src, dst, wt)
+                if bad is not None:
+                    arc_no, arc = bad
+                    _check_arcs(n, 1, [arc], first=arc_no)  # raises
             except MalformedGraphError as exc:
                 raise CorruptFileError(f"{where}, {exc}") from None
+            graphs.append(g)
 
         if fh.read(1):
             # the header, SPEC and COUNT lines, then one line per record and per arc

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 
 import pytest
 
@@ -15,10 +16,13 @@ from bkroute import (
     ConvergenceError,
     GenSpec,
     Graph,
+    RngStream,
     TimingPolicy,
     aggregate_speedup,
     bk_classic,
+    build_cost_matrix,
     derive_cell_seed,
+    draw_graph,
     emit_table,
     generate_set,
     range_label,
@@ -26,7 +30,7 @@ from bkroute import (
     time_solver,
     verify_equivalence,
 )
-from helpers import CHAIN
+from helpers import CHAIN, within_memory_bound
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +114,68 @@ def test_time_solver_totals_accumulate():
     singles = [time_solver([g], "classic", TimingPolicy(1)) for g in graphs]
     assert total.sweeps_total == sum(s.sweeps_total for s in singles)
     assert total.relaxations_total == sum(s.relaxations_total for s in singles)
+
+
+def test_time_solver_takes_the_least_whole_set_time(monkeypatch):
+    import bkroute.bench as bench_mod
+
+    # ms per solve, by graph (n = 2, 3, 4) and repeat: the repeats' set
+    # totals are 12, 9 and 13, so the elapsed time is the middle repeat's;
+    # the per-graph minima would sum to 3
+    durations = {2: [5, 1, 3], 3: [1, 4, 9], 4: [6, 4, 1]}
+    graphs = [Graph(n, (1,), (n,), (7,)) for n in durations]
+    built, solved = [], []
+    now = 0
+
+    def build(g):
+        built.append(g.n)
+        return build_cost_matrix(g)
+
+    def solve(mat):  # the fake clock moves only while a solve runs
+        nonlocal now
+        now += durations[mat.n][solved.count(mat.n)] * 1_000_000
+        solved.append(mat.n)
+        return bk_classic(mat)
+
+    monkeypatch.setattr(bench_mod, "build_cost_matrix", build)
+    monkeypatch.setitem(bench_mod._SOLVERS, "classic", solve)
+    monkeypatch.setattr(bench_mod.time, "perf_counter_ns", lambda: now)
+    timing = time_solver(graphs, "classic", TimingPolicy(3))
+    assert timing.elapsed_ms == 9.0
+    assert built == [2, 3, 4]
+    assert solved == [2, 2, 2, 3, 3, 3, 4, 4, 4]  # each graph's solves back to back
+    singles = [bk_classic(build_cost_matrix(g)) for g in graphs]
+    assert timing.sweeps_total == sum(r.sweeps for r in singles)
+    assert timing.relaxations_total == sum(r.relaxations for r in singles)
+
+
+def _build_peak(g: Graph) -> int:
+    """The traced peak of building g's cost matrix, in bytes."""
+    tracemalloc.start()
+    try:
+        build_cost_matrix(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", ["classic", "accelerated"])
+def test_time_solver_holds_one_matrix_at_a_time(method):
+    # 20 graphs of table1's densest cell. Holding every matrix of the set
+    # peaked at 2.8 MiB, about 11 times one matrix's build; keeping the last
+    # matrix while building the next, at 1.55 times
+    graphs = [draw_graph(90, 7800, RngStream(seed)) for seed in range(20)]
+    peak = 1.25 * _build_peak(graphs[0])
+    within_memory_bound(time_solver, graphs, method, TimingPolicy(1), peak=peak)
+
+
+def test_verify_equivalence_holds_one_matrix_at_a_time():
+    # arcless graphs, whose matrices outweigh what the solvers and the
+    # oracle hold: keeping the last matrix while building the next peaked
+    # at 1.48 times one matrix's build
+    graphs = [Graph(5000)] * 4
+    peak = 1.25 * _build_peak(graphs[0])
+    assert within_memory_bound(verify_equivalence, graphs, peak=peak) == ()
 
 
 def test_time_solver_rejects_bad_input():

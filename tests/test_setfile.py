@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bkroute import (
     MAX_NODES,
+    MAX_WEIGHT,
     CorruptFileError,
     GenSpec,
     Graph,
@@ -277,6 +278,38 @@ def test_a_value_beyond_32_bits_names_its_arc(
             read_set(path)
         assert str(exc.value) == text
         assert _outcome(_line_by_line_read_set, path) == (CorruptFileError, text)
+
+
+@pytest.mark.parametrize("bad_arc", [1, 10**5], ids=["first", "last"])
+def test_a_record_refused_for_a_value_beyond_32_bits_costs_what_a_valid_one_does(
+    tmp_path, bad_arc
+):
+    # one record of 10**5 arcs (n=1000), read once as written and once with
+    # one weight set to 2**31. Reading the rest of the refused record into
+    # list columns peaked at 7.5 (first) and 8.2 MiB (last arc); the valid
+    # read peaks at 2.49 MiB.
+    g = draw_graph(1000, 10**5, RngStream(16), 9)
+    valid = tmp_path / "valid.bkset"
+    write_set([g], GenSpec(1000, 1000, 10**5, 10**5, 1, 16, 9), valid)
+    lines = valid.read_bytes().split(b"\n")
+    i, j, w = lines[3 + bad_arc].split(b" ")  # after BKSET, SPEC, COUNT and G lines
+    lines[3 + bad_arc] = b"%s %s %d" % (i, j, 2**31)
+    refused = _write_bytes(tmp_path, b"\n".join(lines))
+    tracemalloc.start()
+    try:
+        read_set(valid)
+        valid_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(CorruptFileError) as exc:
+            read_set(refused)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        f"graph 1, arc {bad_arc} ({int(i)}, {int(j)}, {2**31}): "
+        f"weight must be an integer in [0, {MAX_WEIGHT}]"
+    )
+    assert refused_peak < 1.1 * valid_peak, (refused_peak, valid_peak)
 
 
 def _wide_record(r: int, m: int) -> Graph:
