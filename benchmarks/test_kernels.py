@@ -1,7 +1,7 @@
 """Micro-benchmarks of graph generation, graph construction (where the arc
-rules are checked), the matrix build, the two sweep kernels (also on a long
-chain), route extraction, the BKSET reader and writer and the timed solves
-of a whole set.
+rules are checked), the matrix build, the two sweep kernels (also on long
+sparse and dense chains), route extraction, the BKSET reader and writer and
+the timed solves of a whole set.
 
 Run from the root of a source checkout:
 
@@ -45,10 +45,20 @@ GRAPHS = {
 
 
 #: Solved only: GRAPHS plus the README's chain 1 -> 2 -> ... -> 3000, on
-#: which the classic order needs one pass per arc.
+#: which the classic order needs one pass per arc, and a dense chain
+#: 1 -> 2 -> ... -> 2000 that also has an arc of weight 10**6 from each node
+#: back to each of the 8 before it (over 8n arcs), on which the classic
+#: order switches to candidate passes after the full ones.
 SOLVED = {
     **GRAPHS,
     "chain-n3000": Graph(3000, tuple(range(1, 3000)), tuple(range(2, 3001)), (1,) * 2999),
+    "dense-chain-n2000": Graph(
+        2000,
+        *zip(
+            *((k, k + 1, 1) for k in range(1, 2000)),
+            *((k, b, 10**6) for k in range(1, 2001) for b in range(max(1, k - 8), k)),
+        ),
+    ),
 }
 
 

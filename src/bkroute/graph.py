@@ -29,12 +29,17 @@ MAX_WEIGHT = 10**9
 #: MAX_WEIGHT * MAX_NODES < 2**53, exact even as a float64.
 MAX_NODES = 10**5
 
-#: Largest mean out-degree m/n at which a CostMatrix keeps `preds`, so that
-#: its sweeps take candidates from the arcs into changed rows instead of
-#: evaluating every row. Denser graphs keep the paper's passes: their in-arc
-#: lists would cost about 64 bytes per arc, and on them the two sweep orders
-#: would make the same changes, erasing the gap the paper measures.
+#: Largest mean out-degree m/n at which a CostMatrix's sweeps take
+#: candidates from the arcs into changed rows from the first pass on.
+#: Denser graphs keep the paper's passes, which evaluate every row: on them
+#: the two sweep orders would make the same changes, erasing the gap the
+#: paper measures, and their in-arc lists would cost about 64 bytes per arc.
 _SPARSE_DEGREE = 8
+
+#: How many of the paper's passes a solve of a denser matrix makes before it
+#: switches to candidate passes: far above the 13 that the paper's grids
+#: need, so only a long route pays for the in-arc lists.
+_FULL_PASSES = 32
 
 #: Extended weight: finite values are non-negative ints, the only float is INF.
 Weight = int | float
@@ -148,8 +153,8 @@ def _check_arcs(
 #: weights at those columns, in the same order.
 RowTerms = tuple[int, Callable[[Sequence[Weight]], Sequence[Weight]], tuple[Weight, ...]]
 
-#: Arcs into each node, for sparse matrices: node j -> ((i, w), ...), the
-#: rows i with an arc into j and that arc's weight w, in arc order.
+#: Arcs into each node: node j -> ((i, w), ...), the rows i with an arc
+#: into j and that arc's weight w.
 Preds = dict[int, tuple[tuple[int, Weight], ...]]
 
 #: One row of the cost table: 0-based columns and the weights at them, in
@@ -167,10 +172,13 @@ class CostMatrix:
     (1-based) with weight wt[k]. They are not checked, so tests can pass
     weights no Graph admits, but unequal lengths raise ValueError. One pass
     groups the arcs by row: `table[i]` (0-based) is row i's diagonal, then
-    its arcs in arc order. When m <= 8n, which len(src) tells up front, the
-    same pass fills `preds`: `preds[j]` (0-based) holds the arcs (i, w) into
-    node j from every row i but the target's, in arc order, and a node that
-    no such arc enters has no key. A dense matrix holds None, at no cost.
+    its arcs in arc order. `preds[j]` (0-based) holds the arcs (i, w) into
+    node j from every row i but the target's, and a node that no such arc
+    enters has no key. `full_passes` is the number of passes a solve
+    evaluates every row before it takes candidates from `preds`: 0 when
+    m <= 8n, which len(src) tells up front, and then the table's pass fills
+    `preds` too, in arc order; `_FULL_PASSES` otherwise, and then `preds`
+    is built from the table, row by row, only when a solve first needs it.
     """
 
     n: int
@@ -178,7 +186,7 @@ class CostMatrix:
     dst: InitVar[Sequence[int]]
     wt: InitVar[Sequence[Weight]]
     table: tuple[TableRow, ...] = field(init=False, repr=False)
-    preds: Preds | None = field(init=False, repr=False)
+    full_passes: int = field(init=False)
 
     def __post_init__(
         self, src: Sequence[int], dst: Sequence[int], wt: Sequence[Weight]
@@ -186,11 +194,11 @@ class CostMatrix:
         n = self.n
         cols: list[list[int]] = [[k] for k in range(n)]
         weights: list[list[Weight]] = [[0] for _ in range(n)]
-        preds = None
         if len(src) > _SPARSE_DEGREE * n:
             for i, j, w in zip(src, dst, wt, strict=True):
                 cols[i - 1].append(j - 1)
                 weights[i - 1].append(w)
+            object.__setattr__(self, "full_passes", _FULL_PASSES)
         else:
             into: list[list[tuple[int, Weight]]] = [[] for _ in range(n)]
             target, one = n - 1, repeat(1)
@@ -199,13 +207,24 @@ class CostMatrix:
                 weights[i].append(w)
                 if i != target:
                     into[j].append((i, w))
-            preds = {j: tuple(arcs_in) for j, arcs_in in enumerate(into) if arcs_in}
+            object.__setattr__(self, "full_passes", 0)
+            # stored where the cached_property below would store it
+            object.__setattr__(self, "preds", _keyed(into))
         object.__setattr__(self, "table", tuple(zip(map(tuple, cols), map(tuple, weights))))
-        object.__setattr__(self, "preds", preds)
+
+    @cached_property
+    def preds(self) -> Preds:
+        """The in-arc lists of a dense matrix, built on a solve's first
+        candidate pass; a sparse matrix's build has already stored them."""
+        into: list[list[tuple[int, Weight]]] = [[] for _ in range(self.n)]
+        for i, (cols, weights) in enumerate(self.table[:-1]):
+            for j, w in zip(cols[1:], weights[1:]):
+                into[j].append((i, w))
+        return _keyed(into)
 
     @cached_property
     def sparse_rows(self) -> tuple[RowTerms, ...]:
-        """RowTerms of the non-target rows with arcs, read only by dense solves."""
+        """RowTerms of the non-target rows with arcs, read only by full passes."""
         return tuple(
             (i, itemgetter(*c), w) for i, (c, w) in enumerate(self.table[:-1]) if len(c) > 1
         )
@@ -221,6 +240,10 @@ class CostMatrix:
             return weights[cols.index(j - 1)]
         except ValueError:
             return INF
+
+
+def _keyed(into: list[list[tuple[int, Weight]]]) -> Preds:
+    return {j: tuple(arcs_in) for j, arcs_in in enumerate(into) if arcs_in}
 
 
 def build_cost_matrix(g: Graph) -> CostMatrix:

@@ -6,12 +6,15 @@ One engine, ``_solve``, repeats passes of
 
 starting from the vector that is 0 at the target (node n) and INF
 everywhere else, and stops as soon as a pass leaves the vector unchanged.
-A dense matrix's pass reads every row through ``CostMatrix.sparse_rows``,
-which holds for each row only its finite entries: its diagonal, then one
-per arc. An absent arc's INF term could never win the minimum, and a row
-with no arc stays INF, so a pass of at most n + m terms gets the result
-that the paper's n terms per row would. A pass function decides only how
-a pass reads v; it returns the new vector, or None when nothing changed:
+Each sweep order has two pass functions, and ``_solve`` alone chooses
+between them. A pass function returns the new vector, or None when nothing
+changed.
+
+A full pass evaluates every row. It reads them through
+``CostMatrix.sparse_rows``, which holds for each row only its finite
+entries: its diagonal, then one per arc. An absent arc's INF term could
+never win the minimum, and a row with no arc stays INF, so a pass of at
+most n + m terms gets the result that the paper's n terms per row would.
 
 * ``_simultaneous`` (``bk_classic``) recomputes every row from the
   previous pass's vector (Jacobi order);
@@ -19,28 +22,33 @@ a pass reads v; it returns the new vector, or None when nothing changed:
   in place, so each row already sees the values refreshed earlier in the
   same pass (Gauss-Seidel order), which can only shorten the descent.
 
-On a sparse matrix, one with ``CostMatrix.preds``, a pass evaluates no
-row in full. Row i's minimum can only drop when a successor j drops, and
-then only to w + v[j] for the arc i -> j. So when a row changes to b, each
-row with an arc into it is offered the candidate w + b, and keeps it in
-``best`` if it beats both its value and the candidates it already holds.
-A pass then takes the queued candidates in its own order:
+A candidate pass evaluates no row in full. Row i's minimum can only drop
+when a successor j drops, and then only to w + v[j] for the arc i -> j.
+So when a row changes to b, each row with an arc into it (``preds``) is
+offered the candidate w + b, and keeps it in ``best`` if it beats both its
+value and the candidates it already holds. A pass then takes the queued
+candidates in its own order:
 
-* ``_simultaneous`` applies every candidate offered by the previous pass,
-  then offers candidates from the rows it changed;
-* ``_bottom_up`` takes the queued rows from n-1 down to 1; a row it
-  changes offers candidates at once, so a lower row takes its candidate
-  later in the same pass and a higher one in the next.
+* ``_simultaneous_candidates`` applies every candidate offered by the
+  previous pass, then offers candidates from the rows it changed;
+* ``_bottom_up_candidates`` takes the queued rows from n-1 down to 1; a
+  row it changes offers candidates at once, so a lower row takes its
+  candidate later in the same pass and a higher one in the next.
 
-This is exact: a row's terms for the successors that made no offer are no
+``_solve`` makes the first ``CostMatrix.full_passes`` passes full ones: 0
+on a sparse matrix (m <= 8n), 32 on a denser one, where the paper's grids
+never need more. Then every row with a finite value makes one offer, which
+at sweep 1 is just the target's, and candidate passes follow. This is
+exact: a row's terms for the successors that made no offer since are no
 smaller than the value it already holds, so its best candidate, where it
 has one, is the minimum a full evaluation would compute. Every pass leaves
-the vector that a pass over all rows would, and sweeps, distances and
-trace snapshots are the same. The work of a pass is the in-arcs of the
-rows that changed, so on a sparse graph both orders make about the same
-number of changes at about the same cost, and bottom-up order saves
-sweeps but no longer time. No pass depends on the order of ``preds``:
-``best`` keeps a minimum, and ``_bottom_up`` sorts the rows it takes.
+the vector that a full pass would, and sweeps, distances and trace
+snapshots are the same. The work of a candidate pass is the in-arcs of the
+rows that changed, so a long route costs each pass little however dense
+the graph, and on a sparse graph both orders make about the same number of
+changes at about the same cost: bottom-up order saves sweeps but no longer
+time. No pass depends on the order of ``preds``: ``best`` keeps a minimum,
+and ``_bottom_up_candidates`` sorts the rows it takes.
 
 Counting convention used by every counter downstream: ``sweeps`` is the
 number of executed passes, including the final confirming pass (the one
@@ -63,10 +71,10 @@ from .graph import INF, CostMatrix, Preds, RowTerms, Weight
 
 View = tuple[RowTerms, ...]
 
-#: The candidates of a sparse matrix's next pass, (best, queued): best[i] is
-#: the smallest w + v[j] offered to row i over an arc i -> j since row i
-#: last changed, INF when none beat v[i], and queued lists the rows whose
-#: best is finite. A dense matrix has none; its passes evaluate every row.
+#: The candidates of the next candidate pass, (best, queued): best[i] is the
+#: smallest w + v[j] offered to row i over an arc i -> j since row i last
+#: changed, INF when none beat v[i], and queued lists the rows whose best is
+#: finite.
 Pending = tuple[list[Weight], list[int]]
 
 
@@ -117,14 +125,16 @@ def _offer(preds: Preds, v: list[Weight], pending: Pending, rows: Iterable[int])
                 best[i] = c
 
 
-def _simultaneous(
-    view: View, v: list[Weight], preds: Preds | None, pending: Pending | None
+def _simultaneous(rows: View, v: list[Weight]) -> list[Weight] | None:
+    new = v[:]
+    for i, gather, weights in rows:
+        new[i] = min(map(add, weights, gather(v)))
+    return None if new == v else new
+
+
+def _simultaneous_candidates(
+    preds: Preds, v: list[Weight], pending: Pending
 ) -> list[Weight] | None:
-    if pending is None:
-        new = v[:]
-        for i, gather, weights in view:
-            new[i] = min(map(add, weights, gather(v)))
-        return None if new == v else new
     best, queued = pending
     if not queued:
         return None
@@ -137,17 +147,19 @@ def _simultaneous(
     return v
 
 
-def _bottom_up(
-    view: View, v: list[Weight], preds: Preds | None, pending: Pending | None
+def _bottom_up(rows: View, v: list[Weight]) -> list[Weight] | None:
+    changed = False
+    for i, gather, weights in reversed(rows):
+        b = min(map(add, weights, gather(v)))
+        if b != v[i]:
+            v[i] = b
+            changed = True
+    return v if changed else None
+
+
+def _bottom_up_candidates(
+    preds: Preds, v: list[Weight], pending: Pending
 ) -> list[Weight] | None:
-    if pending is None:
-        changed = False
-        for i, gather, weights in reversed(view):
-            b = min(map(add, weights, gather(v)))
-            if b != v[i]:
-                v[i] = b
-                changed = True
-        return v if changed else None
     best, queued = pending
     if not queued:
         return None
@@ -172,22 +184,21 @@ def _bottom_up(
 
 def _solve(
     a: CostMatrix,
-    sweep_pass: Callable[
-        [View, list[Weight], Preds | None, Pending | None], list[Weight] | None
-    ],
+    full_pass: Callable[[View, list[Weight]], list[Weight] | None],
+    candidate_pass: Callable[[Preds, list[Weight], Pending], list[Weight] | None],
     trace: list[tuple[Weight, ...]] | None,
 ) -> SolveResult:
     n = a.n
-    preds = a.preds
-    view = a.sparse_rows if preds is None else ()
     v: list[Weight] = [INF] * n
     v[n - 1] = 0
-    pending: Pending | None = None
-    if preds is not None:
-        pending = ([INF] * n, [])
-        _offer(preds, v, pending, (n - 1,))
+    pending: Pending = ([INF] * n, [])
     for sweep in range(1, n + 1):
-        new = sweep_pass(view, v, preds, pending)
+        if sweep <= a.full_passes:
+            new = full_pass(a.sparse_rows, v)
+        else:
+            if sweep == a.full_passes + 1:
+                _offer(a.preds, v, pending, [k for k, b in enumerate(v) if b != INF])
+            new = candidate_pass(a.preds, v, pending)
         if trace is not None:
             trace.append(tuple(v if new is None else new))
         if new is None:
@@ -206,7 +217,7 @@ def bk_classic(
     ``trace``, when given a list, receives the vector snapshot after every
     executed sweep.
     """
-    return _solve(a, _simultaneous, trace)
+    return _solve(a, _simultaneous, _simultaneous_candidates, trace)
 
 
 def bk_accelerated(
@@ -216,7 +227,7 @@ def bk_accelerated(
 
     Returns the same distances as bk_classic, in at most as many sweeps.
     """
-    return _solve(a, _bottom_up, trace)
+    return _solve(a, _bottom_up, _bottom_up_candidates, trace)
 
 
 def extract_route(a: CostMatrix, distances: Sequence[Weight]) -> Route:

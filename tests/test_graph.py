@@ -179,8 +179,9 @@ def test_preds_exist_up_to_eight_arcs_per_node():
     n = 12
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     for m, sparse in ((0, True), (8 * n, True), (8 * n + 1, False), (len(pairs), False)):
-        g = Graph(n, *zip(*[(i, j, 1) for i, j in pairs[:m]]))
-        assert (build_cost_matrix(g).preds is not None) == sparse, m
+        mat = build_cost_matrix(Graph(n, *zip(*[(i, j, 1) for i, j in pairs[:m]])))
+        assert (mat.full_passes == 0) == sparse, m
+        assert ("preds" in vars(mat)) == sparse, m  # a dense one builds them on demand
 
 
 @pytest.mark.parametrize(
@@ -196,15 +197,16 @@ def test_one_pass_build_matches_the_columns(strategy, data):
     for i, (cols, weights) in enumerate(mat.table):
         row = [(j - 1, w) for k, j, w in arcs(g) if k - 1 == i]
         assert list(zip(cols, weights)) == [(i, 0), *row]  # the diagonal, then arc order
-    assert (mat.preds is None) == (g.m > 8 * g.n)
-    if mat.preds is not None:
-        into: dict[int, list[tuple[int, int]]] = {}
-        for i, j, w in arcs(g):
-            if i != g.n:
-                into.setdefault(j - 1, []).append((i - 1, w))
-        assert {j: sorted(p) for j, p in mat.preds.items()} == {
-            j: sorted(p) for j, p in into.items()
-        }
+    assert (mat.full_passes == 0) == (g.m <= 8 * g.n)
+    assert ("preds" in vars(mat)) == (mat.full_passes == 0)
+    into: dict[int, list[tuple[int, int]]] = {}
+    for i, j, w in arcs(g):
+        if i != g.n:
+            into.setdefault(j - 1, []).append((i - 1, w))
+    # a dense matrix's lists, built from its table, hold the same arcs
+    assert {j: sorted(p) for j, p in mat.preds.items()} == {
+        j: sorted(p) for j, p in into.items()
+    }
 
 
 @pytest.mark.parametrize(

@@ -280,26 +280,36 @@ def test_a_value_beyond_32_bits_names_its_arc(
         assert _outcome(_line_by_line_read_set, path) == (CorruptFileError, text)
 
 
+@pytest.fixture(scope="module")
+def valid_record(tmp_path_factory):
+    """A file of one record of 10**5 arcs (n=1000) and the traced peak of
+    reading it, measured once for every case that compares to it."""
+    g = draw_graph(1000, 10**5, RngStream(16), 9)
+    valid = tmp_path_factory.mktemp("valid") / "valid.bkset"
+    write_set([g], GenSpec(1000, 1000, 10**5, 10**5, 1, 16, 9), valid)
+    tracemalloc.start()
+    try:
+        read_set(valid)
+        valid_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return valid, valid_peak
+
+
 @pytest.mark.parametrize("bad_arc", [1, 10**5], ids=["first", "last"])
 def test_a_record_refused_for_a_value_beyond_32_bits_costs_what_a_valid_one_does(
-    tmp_path, bad_arc
+    tmp_path, valid_record, bad_arc
 ):
-    # one record of 10**5 arcs (n=1000), read once as written and once with
-    # one weight set to 2**31. Reading the rest of the refused record into
-    # list columns peaked at 7.5 (first) and 8.2 MiB (last arc); the valid
-    # read peaks at 2.49 MiB.
-    g = draw_graph(1000, 10**5, RngStream(16), 9)
-    valid = tmp_path / "valid.bkset"
-    write_set([g], GenSpec(1000, 1000, 10**5, 10**5, 1, 16, 9), valid)
+    # the valid record read once more with one weight set to 2**31. Reading
+    # the rest of the refused record into list columns peaked at 7.5 (first)
+    # and 8.2 MiB (last arc); the valid read peaks at 2.49 MiB.
+    valid, valid_peak = valid_record
     lines = valid.read_bytes().split(b"\n")
     i, j, w = lines[3 + bad_arc].split(b" ")  # after BKSET, SPEC, COUNT and G lines
     lines[3 + bad_arc] = b"%s %s %d" % (i, j, 2**31)
     refused = _write_bytes(tmp_path, b"\n".join(lines))
     tracemalloc.start()
     try:
-        read_set(valid)
-        valid_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         with pytest.raises(CorruptFileError) as exc:
             read_set(refused)
         refused_peak = tracemalloc.get_traced_memory()[1]

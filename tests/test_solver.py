@@ -5,7 +5,7 @@ import tracemalloc
 from operator import add
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bkroute import (
@@ -25,7 +25,7 @@ from bkroute import (
     generate_set,
     oracle_distances,
 )
-from bkroute.graph import CostMatrix
+from bkroute.graph import _FULL_PASSES, CostMatrix
 from helpers import (
     CHAIN,
     arcs,
@@ -137,7 +137,7 @@ NEGATIVE_CYCLE = [(1, 2, -5), (1, 3, 0), (2, 1, 1), (2, 3, 0)]
 
 def test_divergent_matrix_is_detected():
     mat = CostMatrix(3, *zip(*NEGATIVE_CYCLE))
-    assert mat.preds is not None  # sparse, so its passes take only the offered candidates
+    assert mat.full_passes == 0  # sparse, so its passes take only the offered candidates
     for solve in (bk_classic, bk_accelerated):
         trace = []
         with pytest.raises(ConvergenceError, match="fixed point"):
@@ -190,14 +190,44 @@ def graphs_with_sinks(draw):
     return Graph(g.n, *zip(*[(i, j, w) for i, j, w in arcs(g) if i not in sinks]))
 
 
+def label_reversed(n: int) -> list[int]:
+    """The route 1 -> n-1 -> n-2 -> ... -> 2 -> n through every node."""
+    return [1, *range(n - 1, 1, -1), n]
+
+
 @st.composite
 def reversed_chains(draw):
     """The route 1 -> n-1 -> n-2 -> ... -> 2 -> n: every arc but the last
     points to a lower label, so bottom-up needs about n sweeps too."""
     n = draw(st.integers(2, 30))
-    path = [1, *range(n - 1, 1, -1), n]
+    path = label_reversed(n)
     weights = draw(st.lists(st.integers(0, 100), min_size=n - 1, max_size=n - 1))
     return Graph(n, path[:-1], path[1:], weights)
+
+
+def dense_chain(route: list[int], weights, back: int = 10**6, span: int = 9) -> Graph:
+    """The route's arcs, weighted in order, plus an arc of weight `back` from
+    each node to each of the up to `span` nodes before it on the route. For
+    span 9 and n >= 24 that is over 8n arcs, yet every route to the target
+    still follows the whole chain."""
+    n = len(route)
+    back_arcs = [(route[p], route[q], back) for p in range(n) for q in range(max(0, p - span), p)]
+    return Graph(n, *zip(*zip(route, route[1:], weights), *back_arcs))
+
+
+@st.composite
+def dense_chains(draw):
+    """A dense chain on 30..80 nodes, forward or label-reversed, in a drawn
+    arc order: the classic order needs n sweeps on either route, and the
+    bottom-up order n - 1 on a label-reversed one, so for n above 33 both
+    orders pass _FULL_PASSES and switch to candidate passes."""
+    n = draw(st.integers(30, 80))
+    route = draw(st.sampled_from([list(range(1, n + 1)), label_reversed(n)]))
+    weights = draw(st.lists(st.integers(0, 100), min_size=n - 1, max_size=n - 1))
+    g = dense_chain(route, weights, draw(st.integers(0, MAX_WEIGHT)), draw(st.integers(9, 12)))
+    shuffled = arcs(g)
+    draw(st.randoms(use_true_random=True)).shuffle(shuffled)
+    return Graph(n, *zip(*shuffled))
 
 
 @st.composite
@@ -226,10 +256,12 @@ SPARSE_ROUTE_SET = generate_set(GenSpec(50, 90, 100, 400, 12, 7, 100))
         gate_boundary_graphs(),
         reversed_chains(),
         zero_weight_cycles(),
+        dense_chains(),
     ],
     ids=[
         "min_w=0", "near-MAX_WEIGHT", "complete", "sinks", "sparse-route-shaped",
         "complete-n12-20", "gate-boundary", "reversed-chain", "zero-weight-cycle",
+        "dense-chain",
     ],
 )
 @given(data=st.data())
@@ -245,14 +277,17 @@ def test_sparse_view_matches_dense_reference(strategy, data):
         complete_graphs(),
         gate_boundary_graphs(),
         zero_weight_cycles(),
+        dense_chains(),
     ],
-    ids=["min_w=0", "sparse-route-shaped", "complete", "gate-boundary", "zero-weight-cycle"],
+    ids=[
+        "min_w=0", "sparse-route-shaped", "complete", "gate-boundary", "zero-weight-cycle",
+        "dense-chain",
+    ],
 )
 @given(data=st.data())
 def test_solves_do_not_depend_on_the_order_of_preds(strategy, data):
     g = data.draw(strategy)
     mat = build_cost_matrix(g)
-    assume(mat.preds is not None)  # a gate-boundary draw with m = 8n + 1 holds none
     flipped = build_cost_matrix(g)
     object.__setattr__(flipped, "preds", {j: p[::-1] for j, p in mat.preds.items()})
     for solve in (bk_classic, bk_accelerated):
@@ -267,12 +302,33 @@ def test_only_dense_solves_build_the_row_view():
     sparse = build_cost_matrix(CHAIN)
     pairs = [(i, j) for i in range(1, 13) for j in range(1, 13) if i != j]
     dense = build_cost_matrix(Graph(12, *zip(*[(i, j, 1) for i, j in pairs])))
-    assert sparse.preds is not None and dense.preds is None
+    assert sparse.full_passes == 0 and dense.full_passes == _FULL_PASSES
     for mat in (sparse, dense):
         for solve in (bk_classic, bk_accelerated):
             extract_route(mat, solve(mat).distances)
     assert "sparse_rows" not in vars(sparse)
     assert "sparse_rows" in vars(dense)
+    # a dense matrix builds its in-arc lists only for a solve that switches
+    assert "preds" not in vars(dense)
+    chain = build_cost_matrix(dense_chain(list(range(1, 41)), [1] * 39))
+    assert bk_classic(chain).sweeps == 40 > _FULL_PASSES
+    assert "preds" in vars(chain)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "label-reversed"])
+def test_dense_solves_switch_after_the_full_passes(reverse, extra):
+    # the order the route suits least needs exactly _FULL_PASSES + extra
+    # sweeps: the full passes, then `extra` candidate passes
+    solve = bk_accelerated if reverse else bk_classic
+    n = _FULL_PASSES + extra + reverse
+    mat = build_cost_matrix(
+        dense_chain(label_reversed(n) if reverse else list(range(1, n + 1)), [1] * (n - 1))
+    )
+    assert mat.full_passes == _FULL_PASSES
+    assert solve(mat).sweeps == _FULL_PASSES + extra
+    assert ("preds" in vars(mat)) == (extra > 0)
+    assert_matches_dense_reference(mat)
 
 
 @pytest.mark.parametrize(
