@@ -159,13 +159,15 @@ def _check_file(fh: BinaryIO) -> None:
     first = fh.readline(_PREFIX)
     head = first.removesuffix(b"\n").split(b" ")
     if len(head) == 2 and head[0] == magic and not first.endswith(b"\n"):
-        # the prefix cut the version token, which the version message quotes
-        first += fh.readline()
+        # the prefix cut the version token, which the version message quotes:
+        # at most _CHUNK bytes more of it, dropping a character the bound cuts
+        first += fh.readline(_CHUNK)
         head = first.removesuffix(b"\n").split(b" ")
     if len(head) != 2 or head[0] != magic:
         raise UnsupportedFormatError("not a BKSET file")
     if head[1] != b"%d" % VERSION:
-        raise UnsupportedFormatError(f"unsupported BKSET version {head[1].decode()!r}")
+        version = head[1].decode(errors="ignore")
+        raise UnsupportedFormatError(f"unsupported BKSET version {version!r}")
     if last != b"\n":
         raise CorruptFileError("the final line feed is missing")
 

@@ -1,33 +1,49 @@
-"""Shared test material: reference graphs, hypothesis graph strategies and
-the exhaustive enumerators that cross-check the solvers and the oracle."""
+"""Shared test material: reference graphs, the traced-memory helpers,
+hypothesis graph strategies and the exhaustive enumerators that
+cross-check the solvers and the oracle."""
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 from hypothesis import strategies as st
 
-from bkroute import INF, Graph
+from bkroute import INF, Graph, RngStream, draw_graph
 from bkroute.graph import Weight
 
 # Four-node chain with a costly direct shortcut; the standing worked example.
 CHAIN = Graph(4, *zip((1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 10)))
 
 
-def within_memory_bound(make, *args, held: int | None = None, peak: int = 64 * 2**20):
-    """make(*args), asserting that its traced peak stays under `peak` bytes
-    (64 MB unless given) and, given `held`, that what is still traced when
-    it returns stays under `held` bytes: what it made, once its temporaries
-    are gone. Only what make allocates is traced, not its arguments."""
+def traced(make, *args):
+    """make(*args) under tracemalloc: what it made, the bytes still traced
+    when it returns (what it made, once its temporaries are gone) and the
+    traced peak. Only what make allocates is traced, not its arguments."""
     tracemalloc.start()
     try:
         made = make(*args)
-        current, traced_peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return made, held, peak
+
+
+def within_memory_bound(make, *args, held: int | None = None, peak: int = 64 * 2**20):
+    """make(*args), asserting that its traced peak stays under `peak` bytes
+    (64 MB unless given) and, given `held`, that what is still traced when
+    it returns stays under `held` bytes."""
+    made, traced_held, traced_peak = traced(make, *args)
     assert traced_peak < peak, traced_peak
-    assert held is None or current < held, current
+    assert held is None or traced_held < held, traced_held
     return made
+
+
+@functools.cache
+def large_record() -> Graph:
+    """One 10**5-arc graph (n=1000, weights up to 9), the large record of
+    the reader and Graph memory tests, drawn once per session."""
+    return draw_graph(1000, 10**5, RngStream(16), 9)
 
 
 def arcs(g: Graph) -> list[tuple[int, int, int]]:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import csv
 import io
-import tracemalloc
 
 import pytest
 
@@ -30,7 +29,7 @@ from bkroute import (
     time_solver,
     verify_equivalence,
 )
-from helpers import CHAIN, within_memory_bound
+from helpers import CHAIN, traced, within_memory_bound
 
 
 @pytest.fixture(scope="module")
@@ -149,24 +148,19 @@ def test_time_solver_takes_the_least_whole_set_time(monkeypatch):
     assert timing.relaxations_total == sum(r.relaxations for r in singles)
 
 
-def _build_peak(g: Graph) -> int:
-    """The traced peak of building g's cost matrix, in bytes."""
-    tracemalloc.start()
-    try:
-        build_cost_matrix(g)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+@pytest.fixture(scope="module")
+def densest_set():
+    """20 graphs of table1's densest cell."""
+    return [draw_graph(90, 7800, RngStream(seed)) for seed in range(20)]
 
 
 @pytest.mark.parametrize("method", ["classic", "accelerated"])
-def test_time_solver_holds_one_matrix_at_a_time(method):
-    # 20 graphs of table1's densest cell. Holding every matrix of the set
-    # peaked at 2.8 MiB, about 11 times one matrix's build; keeping the last
-    # matrix while building the next, at 1.55 times
-    graphs = [draw_graph(90, 7800, RngStream(seed)) for seed in range(20)]
-    peak = 1.25 * _build_peak(graphs[0])
-    within_memory_bound(time_solver, graphs, method, TimingPolicy(1), peak=peak)
+def test_time_solver_holds_one_matrix_at_a_time(densest_set, method):
+    # holding every matrix of the set peaked at 2.8 MiB, about 11 times one
+    # matrix's build; keeping the last matrix while building the next, at
+    # 1.55 times
+    peak = 1.25 * traced(build_cost_matrix, densest_set[0])[2]
+    within_memory_bound(time_solver, densest_set, method, TimingPolicy(1), peak=peak)
 
 
 def test_verify_equivalence_holds_one_matrix_at_a_time():
@@ -174,7 +168,7 @@ def test_verify_equivalence_holds_one_matrix_at_a_time():
     # oracle hold: keeping the last matrix while building the next peaked
     # at 1.48 times one matrix's build
     graphs = [Graph(5000)] * 4
-    peak = 1.25 * _build_peak(graphs[0])
+    peak = 1.25 * traced(build_cost_matrix, graphs[0])[2]
     assert within_memory_bound(verify_equivalence, graphs, peak=peak) == ()
 
 

@@ -159,6 +159,14 @@ def test_non_utf8_file_is_a_data_error(tmp_path, capsys, command, data, msg):
     assert msg in capsys.readouterr().err
 
 
+def test_a_long_version_token_is_a_data_error(tmp_path, capsys):
+    # the reader quotes the token up to a bound that cuts a character here
+    path = tmp_path / "long.bkset"
+    path.write_bytes(b"BKSET " + "\u20ac".encode() * 30000 + b"\n")
+    assert main(["verify", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: unsupported BKSET version '\u20ac")
+
+
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_a_record_claiming_too_many_nodes_is_a_data_error(tmp_path, capsys, command):
     path = tmp_path / "huge.bkset"

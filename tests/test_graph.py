@@ -27,6 +27,7 @@ from helpers import (
     complete_graphs,
     gate_boundary_graphs,
     graphs,
+    large_record,
     within_memory_bound,
 )
 
@@ -107,7 +108,7 @@ def test_a_large_graph_holds_four_bytes_per_value():
 def test_checking_a_graph_costs_little_beyond_its_columns():
     # n*n <= 16*m: the duplicate check marks a table of n*n bytes (1 MB),
     # not a set of 10**5 ints (8.4 MiB), and the packed copies take 1.2 MB
-    g = draw_graph(1000, 10**5, RngStream(16), 9)
+    g = large_record()
     columns = list(g.src), list(g.dst), list(g.wt)
     assert within_memory_bound(Graph, 1000, *columns, peak=2 * 2**20) == g
 

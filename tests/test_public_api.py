@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import bkroute
 
 PUBLIC_NAMES = [
@@ -52,3 +54,10 @@ def test_public_names_are_pinned_and_resolve():
     assert len(set(bkroute.__all__)) == len(bkroute.__all__) == 38
     for name in PUBLIC_NAMES:
         assert hasattr(bkroute, name), name
+
+
+def test_the_package_version_is_the_declared_one():
+    # perfbench stamps its reports with bkroute.__version__
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert f'\nversion = "{bkroute.__version__}"\n' in pyproject

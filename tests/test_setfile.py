@@ -3,7 +3,6 @@ from __future__ import annotations
 import os
 import random
 import tempfile
-import tracemalloc
 from typing import NoReturn
 
 import pytest
@@ -26,7 +25,7 @@ from bkroute import (
 )
 from bkroute import setfile
 from bkroute.setfile import _ARC_FIELDS, MAGIC, VERSION, _as_int, _int_fields
-from helpers import within_memory_bound
+from helpers import large_record, traced
 
 TINY_SPEC = GenSpec(2, 2, 1, 1, 2, 42)
 
@@ -220,25 +219,29 @@ def test_reading_a_large_record_costs_a_small_multiple_of_its_text(tmp_path):
     g = draw_graph(1000, 50000, RngStream(16), 9)
     path = tmp_path / "large.bkset"
     write_set([g], GenSpec(1000, 1000, 50000, 50000, 1, 16, 9), path)
-    tracemalloc.start()
-    try:
-        _, (back,) = read_set(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, (back,)), _, peak = traced(read_set, path)
     assert peak < 16 * 2**20
     assert back == g
 
 
-def test_reading_a_record_packs_its_columns_as_it_goes(tmp_path):
-    # one record of 10**5 arcs (n=1000, 0.98 MB of text): each slice is
-    # packed into the record's columns, and the duplicate check marks a
-    # 1 MB byte table; list columns and a set of pairs peaked at 14.75 MiB
-    g = draw_graph(1000, 10**5, RngStream(16), 9)
-    path = tmp_path / "large.bkset"
-    write_set([g], GenSpec(1000, 1000, 10**5, 10**5, 1, 16, 9), path)
-    _, (back,) = within_memory_bound(read_set, path, peak=4 * 2**20)
-    assert back == g
+@pytest.fixture(scope="module")
+def valid_record(tmp_path_factory):
+    """A file of one record of 10**5 arcs (n=1000, 0.98 MB of text), what
+    reading it returns and the traced peak of that read, measured once for
+    every test that checks or compares to it."""
+    valid = tmp_path_factory.mktemp("valid") / "valid.bkset"
+    write_set([large_record()], GenSpec(1000, 1000, 10**5, 10**5, 1, 16, 9), valid)
+    read, _, valid_peak = traced(read_set, valid)
+    return valid, read, valid_peak
+
+
+def test_reading_a_record_packs_its_columns_as_it_goes(valid_record):
+    # each slice is packed into the record's columns, and the duplicate
+    # check marks a 1 MB byte table; list columns and a set of pairs peaked
+    # at 14.75 MiB
+    _, (_, (back,)), peak = valid_record
+    assert peak < 4 * 2**20
+    assert back == large_record()
 
 
 @pytest.mark.parametrize("slice_lines", [None, 2])
@@ -280,22 +283,6 @@ def test_a_value_beyond_32_bits_names_its_arc(
         assert _outcome(_line_by_line_read_set, path) == (CorruptFileError, text)
 
 
-@pytest.fixture(scope="module")
-def valid_record(tmp_path_factory):
-    """A file of one record of 10**5 arcs (n=1000) and the traced peak of
-    reading it, measured once for every case that compares to it."""
-    g = draw_graph(1000, 10**5, RngStream(16), 9)
-    valid = tmp_path_factory.mktemp("valid") / "valid.bkset"
-    write_set([g], GenSpec(1000, 1000, 10**5, 10**5, 1, 16, 9), valid)
-    tracemalloc.start()
-    try:
-        read_set(valid)
-        valid_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return valid, valid_peak
-
-
 @pytest.mark.parametrize("bad_arc", [1, 10**5], ids=["first", "last"])
 def test_a_record_refused_for_a_value_beyond_32_bits_costs_what_a_valid_one_does(
     tmp_path, valid_record, bad_arc
@@ -303,18 +290,18 @@ def test_a_record_refused_for_a_value_beyond_32_bits_costs_what_a_valid_one_does
     # the valid record read once more with one weight set to 2**31. Reading
     # the rest of the refused record into list columns peaked at 7.5 (first)
     # and 8.2 MiB (last arc); the valid read peaks at 2.49 MiB.
-    valid, valid_peak = valid_record
+    valid, _, valid_peak = valid_record
     lines = valid.read_bytes().split(b"\n")
     i, j, w = lines[3 + bad_arc].split(b" ")  # after BKSET, SPEC, COUNT and G lines
     lines[3 + bad_arc] = b"%s %s %d" % (i, j, 2**31)
     refused = _write_bytes(tmp_path, b"\n".join(lines))
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(CorruptFileError) as exc:
             read_set(refused)
-        refused_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return exc
+
+    exc, _, refused_peak = traced(refuse)
     assert str(exc.value) == (
         f"graph 1, arc {bad_arc} ({int(i)}, {int(j)}, {2**31}): "
         f"weight must be an integer in [0, {MAX_WEIGHT}]"
@@ -331,17 +318,6 @@ def _wide_record(r: int, m: int) -> Graph:
     return Graph(n, src, [(i - 2 - r) % n + 1 for i in src], [10**9 - k for k in range(m)])
 
 
-def _traced(fn, *args):
-    """fn(*args), and what it allocated beyond what it left held, in bytes."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak - held
-
-
 def test_reading_a_file_holds_its_graphs_and_one_slice(tmp_path):
     # 40 records, 2.2 MB of text. Holding the whole text and a record's
     # tokens cost 2.8 MB beyond the graphs, more for a larger file; one
@@ -350,8 +326,8 @@ def test_reading_a_file_holds_its_graphs_and_one_slice(tmp_path):
     path = tmp_path / "wide.bkset"
     write_set(graphs, GenSpec(2, MAX_NODES, 1, 2500, 40, 3, 10**9), path)
     assert path.stat().st_size > 2 * 10**6
-    (_, back), transient = _traced(read_set, path)
-    assert transient < 1.5 * 2**20
+    (_, back), held, peak = traced(read_set, path)
+    assert peak - held < 1.5 * 2**20
     assert back == graphs
 
 
@@ -360,8 +336,8 @@ def test_writing_a_large_record_holds_one_slice(tmp_path):
     # held a 3m-long list, its tuple and the record's text, 7.9 MB
     g = _wide_record(0, 10**5)
     path = tmp_path / "large.bkset"
-    _, transient = _traced(write_set, [g], GenSpec(2, MAX_NODES, 1, 10**5, 1, 3, 10**9), path)
-    assert transient < 2**20
+    _, held, peak = traced(write_set, [g], GenSpec(2, MAX_NODES, 1, 10**5, 1, 3, 10**9), path)
+    assert peak - held < 2**20
     assert read_set(path)[1] == [g]
 
 
@@ -422,6 +398,22 @@ def test_a_first_line_longer_than_the_prefix_keeps_its_message(tmp_path, data, m
     with pytest.raises(UnsupportedFormatError) as exc:
         read_set(_write_bytes(tmp_path, data))
     assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize(
+    "char,count", [("1", 4 * 2**20), ("\u20ac", 30000)], ids=["4-MiB", "3-byte-cut"]
+)
+def test_a_long_version_token_is_read_and_quoted_up_to_a_bound(tmp_path, char, count):
+    # reading and quoting the whole of a 4 MiB token peaked at 16 MiB. The
+    # bound cuts the second case inside a character, which is dropped.
+    path = _write_bytes(tmp_path, b"BKSET " + (char * count).encode() + b"\n")
+    bound, width = setfile._PREFIX - len("BKSET ") + setfile._CHUNK, len(char.encode())
+    assert width * count > bound
+    (kind, msg), _, peak = traced(_outcome, read_set, path)
+    assert (kind, msg) == (
+        UnsupportedFormatError, f"unsupported BKSET version {char * (bound // width)!r}"
+    )
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import tracemalloc
 from operator import add
 
 import pytest
@@ -34,6 +33,7 @@ from helpers import (
     complete_graphs,
     gate_boundary_graphs,
     graphs,
+    traced,
     within_memory_bound,
 )
 
@@ -374,12 +374,7 @@ LARGE_N = 10**4
 def test_matrix_without_arcs_holds_no_predecessor_lists():
     # preds grows with the arcs, not with n: an arcless MAX_NODES matrix keeps
     # an empty dict, and traces 18.3 MB on CPython 3.11, its table alone
-    tracemalloc.start()
-    try:
-        mat = build_cost_matrix(Graph(MAX_NODES))
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    mat, size, _ = traced(lambda: build_cost_matrix(Graph(MAX_NODES)))
     assert mat.preds == {}
     assert size < 19 * 2**20
     # two arcs give one key per node they enter, however large n is
