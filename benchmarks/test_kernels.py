@@ -1,7 +1,7 @@
 """Micro-benchmarks of graph generation, graph construction (where the arc
-rules are checked), the matrix build, the two sweep kernels (also on long
-sparse and dense chains), route extraction, the BKSET reader and writer and
-the timed solves of a whole set.
+rules are checked), the matrix build (also of an arcless MAX_NODES graph),
+the two sweep kernels (also on long sparse and dense chains), route
+extraction, the BKSET reader and writer and the timed solves of a whole set.
 
 Run from the root of a source checkout:
 
@@ -18,6 +18,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from bkroute import (
+    MAX_NODES,
     GenSpec,
     Graph,
     RngStream,
@@ -80,6 +81,12 @@ def test_draw_graph(benchmark, name):
 
 def test_build_cost_matrix(benchmark, graph):
     benchmark(build_cost_matrix, graph)
+
+
+def test_build_cost_matrix_without_arcs(benchmark):
+    # the hostile shape of a 51-byte `G 100000 0` record: n rows, no arcs
+    mat = benchmark(build_cost_matrix, Graph(MAX_NODES))
+    assert len(mat.table) == MAX_NODES
 
 
 @pytest.mark.parametrize("solve", [bk_classic, bk_accelerated], ids=["classic", "accelerated"])

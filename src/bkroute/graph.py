@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, sub
@@ -157,48 +157,42 @@ RowTerms = tuple[int, Callable[[Sequence[Weight]], Sequence[Weight]], tuple[Weig
 #: into j and that arc's weight w.
 Preds = dict[int, tuple[tuple[int, Weight], ...]]
 
-#: One row of the cost table: 0-based columns and the weights at them, in
-#: the same order, the diagonal (weight 0) first and then one per arc.
+#: One row of the cost table: the 0-based columns of the row's arcs, in arc
+#: order, and the weights at them. The diagonal is not stored.
 TableRow = tuple[tuple[int, ...], tuple[Weight, ...]]
 
 
-@dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Extended-weight costs of a graph: 0 on the diagonal, the arc weight
-    where an arc exists, INF everywhere else. Only the finite entries are
-    stored, so memory grows with n + m, never with n*n.
+    where an arc exists, INF everywhere else. Only the arcs are stored, so
+    memory grows with n + m, never with n*n.
 
     The columns are a Graph's: arc k runs from node src[k] to node dst[k]
     (1-based) with weight wt[k]. They are not checked, so tests can pass
     weights no Graph admits, but unequal lengths raise ValueError. One pass
-    groups the arcs by row: `table[i]` (0-based) is row i's diagonal, then
-    its arcs in arc order. `preds[j]` (0-based) holds the arcs (i, w) into
-    node j from every row i but the target's, and a node that no such arc
-    enters has no key. `full_passes` is the number of passes a solve
-    evaluates every row before it takes candidates from `preds`: 0 when
-    m <= 8n, which len(src) tells up front, and then the table's pass fills
-    `preds` too, in arc order; `_FULL_PASSES` otherwise, and then `preds`
-    is built from the table, row by row, only when a solve first needs it.
+    groups the arcs by row: `table[i]` (0-based) is row i's arcs in arc
+    order, so an arcless row is a pair of CPython's shared empty tuples.
+    Only `sparse_rows` and `entry` add the zero diagonal. `preds[j]`
+    (0-based) holds the arcs (i, w) into node j from every row i but the
+    target's, and a node that no such arc enters has no key. `full_passes`
+    is the number of passes a solve evaluates every row before it takes
+    candidates from `preds`: 0 when m <= 8n, which len(src) tells up front,
+    and then the table's pass fills `preds` too, in arc order;
+    `_FULL_PASSES` otherwise, and then `preds` is built from the table, row
+    by row, only when a solve first needs it.
     """
 
-    n: int
-    src: InitVar[Sequence[int]]
-    dst: InitVar[Sequence[int]]
-    wt: InitVar[Sequence[Weight]]
-    table: tuple[TableRow, ...] = field(init=False, repr=False)
-    full_passes: int = field(init=False)
-
-    def __post_init__(
-        self, src: Sequence[int], dst: Sequence[int], wt: Sequence[Weight]
+    def __init__(
+        self, n: int, src: Sequence[int], dst: Sequence[int], wt: Sequence[Weight]
     ) -> None:
-        n = self.n
-        cols: list[list[int]] = [[k] for k in range(n)]
-        weights: list[list[Weight]] = [[0] for _ in range(n)]
+        self.n = n
+        cols: list[list[int]] = [[] for _ in range(n)]
+        weights: list[list[Weight]] = [[] for _ in range(n)]
         if len(src) > _SPARSE_DEGREE * n:
             for i, j, w in zip(src, dst, wt, strict=True):
                 cols[i - 1].append(j - 1)
                 weights[i - 1].append(w)
-            object.__setattr__(self, "full_passes", _FULL_PASSES)
+            self.full_passes = _FULL_PASSES
         else:
             into: list[list[tuple[int, Weight]]] = [[] for _ in range(n)]
             target, one = n - 1, repeat(1)
@@ -207,10 +201,9 @@ class CostMatrix:
                 weights[i].append(w)
                 if i != target:
                     into[j].append((i, w))
-            object.__setattr__(self, "full_passes", 0)
-            # stored where the cached_property below would store it
-            object.__setattr__(self, "preds", _keyed(into))
-        object.__setattr__(self, "table", tuple(zip(map(tuple, cols), map(tuple, weights))))
+            self.full_passes = 0
+            self.preds = _keyed(into)  # where the cached_property below stores it
+        self.table: tuple[TableRow, ...] = tuple(zip(map(tuple, cols), map(tuple, weights)))
 
     @cached_property
     def preds(self) -> Preds:
@@ -218,15 +211,16 @@ class CostMatrix:
         candidate pass; a sparse matrix's build has already stored them."""
         into: list[list[tuple[int, Weight]]] = [[] for _ in range(self.n)]
         for i, (cols, weights) in enumerate(self.table[:-1]):
-            for j, w in zip(cols[1:], weights[1:]):
+            for j, w in zip(cols, weights):
                 into[j].append((i, w))
         return _keyed(into)
 
     @cached_property
     def sparse_rows(self) -> tuple[RowTerms, ...]:
-        """RowTerms of the non-target rows with arcs, read only by full passes."""
+        """RowTerms of the non-target rows with arcs, read only by full
+        passes; each row's zero diagonal is added here."""
         return tuple(
-            (i, itemgetter(*c), w) for i, (c, w) in enumerate(self.table[:-1]) if len(c) > 1
+            (i, itemgetter(i, *c), (0, *w)) for i, (c, w) in enumerate(self.table[:-1]) if c
         )
 
     def entry(self, i: int, j: int) -> Weight:
@@ -235,6 +229,8 @@ class CostMatrix:
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"entry ({i}, {j}) is outside 1..{n}")
+        if i == j:
+            return 0
         cols, weights = self.table[i - 1]
         try:
             return weights[cols.index(j - 1)]

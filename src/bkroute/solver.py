@@ -249,7 +249,6 @@ def extract_route(a: CostMatrix, distances: Sequence[Weight]) -> Route:
     table = a.table
 
     def tight_arcs(k: int) -> Iterator[tuple[int, Weight]]:
-        # the diagonal (k, 0) is tight too, but k is on the path, so tried
         dk = distances[k]
         return iter(sorted((j, w) for j, w in zip(*table[k]) if w + distances[j] == dk))
 

@@ -156,9 +156,9 @@ def densest_set():
 
 @pytest.mark.parametrize("method", ["classic", "accelerated"])
 def test_time_solver_holds_one_matrix_at_a_time(densest_set, method):
-    # holding every matrix of the set peaked at 2.8 MiB, about 11 times one
-    # matrix's build; keeping the last matrix while building the next, at
-    # 1.55 times
+    # holding every matrix of the set, each with its full-pass view, peaked
+    # at 5.2-5.4 MiB, about 20 times one matrix's build; keeping the last
+    # matrix while building the next, at 2.0 times
     peak = 1.25 * traced(build_cost_matrix, densest_set[0])[2]
     within_memory_bound(time_solver, densest_set, method, TimingPolicy(1), peak=peak)
 
@@ -166,7 +166,7 @@ def test_time_solver_holds_one_matrix_at_a_time(densest_set, method):
 def test_verify_equivalence_holds_one_matrix_at_a_time():
     # arcless graphs, whose matrices outweigh what the solvers and the
     # oracle hold: keeping the last matrix while building the next peaked
-    # at 1.48 times one matrix's build
+    # at 1.27 times one matrix's build
     graphs = [Graph(5000)] * 4
     peak = 1.25 * traced(build_cost_matrix, graphs[0])[2]
     assert within_memory_bound(verify_equivalence, graphs, peak=peak) == ()

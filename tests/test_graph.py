@@ -197,7 +197,7 @@ def test_one_pass_build_matches_the_columns(strategy, data):
     assert len(mat.table) == g.n
     for i, (cols, weights) in enumerate(mat.table):
         row = [(j - 1, w) for k, j, w in arcs(g) if k - 1 == i]
-        assert list(zip(cols, weights)) == [(i, 0), *row]  # the diagonal, then arc order
+        assert list(zip(cols, weights)) == row  # its arcs in arc order, no diagonal
     assert (mat.full_passes == 0) == (g.m <= 8 * g.n)
     assert ("preds" in vars(mat)) == (mat.full_passes == 0)
     into: dict[int, list[tuple[int, int]]] = {}
