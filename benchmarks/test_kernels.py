@@ -3,6 +3,12 @@ rules are checked), the matrix build (also of an arcless MAX_NODES graph),
 the two sweep kernels (also on long sparse and dense chains), route
 extraction, the BKSET reader and writer and the timed solves of a whole set.
 
+A dense matrix (m > 8n) is built with the full-pass view its solves read,
+so `test_build_cost_matrix[dense-n90-m7800]` times the view and no
+`test_solve[dense-*]` case does. A dense solve that outlasts its full
+passes, as classic does on the dense chain, builds the in-arc lists on its
+first call only.
+
 Run from the root of a source checkout:
 
     PYTHONPATH=src python -m pytest benchmarks -q

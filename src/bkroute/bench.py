@@ -8,10 +8,7 @@ minimum over ``repeats`` runs of the whole set on the monotonic
 graph's cost matrix is built outside the clock, then solved ``repeats``
 times back to back, each solve timed on its own and added to its run's
 total. So a benchmark holds one matrix at a time besides the set's
-Graphs, however many graphs the set has. A dense matrix (m > 8n) builds
-its full-pass view on its first solve, inside that solve's clock for
-either order: about 0.2 ms per n=90, m=7800 matrix against a 2-3 ms solve
-(CPython 3.11, 2-core Xeon VM), so with ``repeats`` 1 the time includes it.
+Graphs, however many graphs the set has.
 
 Hardware-independent work counters (sweeps, relaxations) accompany every
 timing so results stay comparable across machines; wall-clock ratios are

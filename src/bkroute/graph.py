@@ -174,12 +174,15 @@ class CostMatrix:
     order, so an arcless row is a pair of CPython's shared empty tuples.
     Only `sparse_rows` and `entry` add the zero diagonal. `preds[j]`
     (0-based) holds the arcs (i, w) into node j from every row i but the
-    target's, and a node that no such arc enters has no key. `full_passes`
-    is the number of passes a solve evaluates every row before it takes
-    candidates from `preds`: 0 when m <= 8n, which len(src) tells up front,
-    and then the table's pass fills `preds` too, in arc order;
-    `_FULL_PASSES` otherwise, and then `preds` is built from the table, row
-    by row, only when a solve first needs it.
+    target's, and a node that no such arc enters has no key. `sparse_rows`
+    holds the RowTerms of the non-target rows with arcs, and `full_passes`
+    is the number of passes a solve reads them before it takes candidates
+    from `preds`. A matrix is built holding what its passes read: when
+    m <= 8n, which len(src) tells up front, `full_passes` is 0 and the
+    table's pass fills `preds` too, in arc order; otherwise `full_passes`
+    is `_FULL_PASSES`, the build makes `sparse_rows` from the finished
+    table, and `preds` is built from the table, row by row, only when a
+    solve first needs it.
     """
 
     def __init__(
@@ -204,6 +207,12 @@ class CostMatrix:
             self.full_passes = 0
             self.preds = _keyed(into)  # where the cached_property below stores it
         self.table: tuple[TableRow, ...] = tuple(zip(map(tuple, cols), map(tuple, weights)))
+        del cols, weights  # so that the build never holds them and the view at once
+        if self.full_passes:
+            rows = enumerate(self.table[:-1])
+            self.sparse_rows: tuple[RowTerms, ...] = tuple(
+                (i, itemgetter(*(i,) + c), (0,) + w) for i, (c, w) in rows if c
+            )
 
     @cached_property
     def preds(self) -> Preds:
@@ -214,14 +223,6 @@ class CostMatrix:
             for j, w in zip(cols, weights):
                 into[j].append((i, w))
         return _keyed(into)
-
-    @cached_property
-    def sparse_rows(self) -> tuple[RowTerms, ...]:
-        """RowTerms of the non-target rows with arcs, read only by full
-        passes; each row's zero diagonal is added here."""
-        return tuple(
-            (i, itemgetter(i, *c), (0, *w)) for i, (c, w) in enumerate(self.table[:-1]) if c
-        )
 
     def entry(self, i: int, j: int) -> Weight:
         """1-based accessor, for tests and route checks. Takes time in

@@ -157,16 +157,33 @@ def entries(mat):
 
 def test_sparse_rows_hold_the_finite_entries_of_each_row():
     def view(g, v):
-        return [(i, tuple(gather(v)), w) for i, gather, w in build_cost_matrix(g).sparse_rows]
+        mat = build_cost_matrix(g)
+        assert mat.full_passes > 0  # only a dense matrix holds a view
+        return [(i, tuple(gather(v)), w) for i, gather, w in mat.sparse_rows]
 
-    # the target row is left out; each row keeps its diagonal, then its arcs
-    assert view(CHAIN, [30, 20, 10, 0]) == [
-        (0, (30, 20, 0), (0, 1, 10)),
-        (1, (20, 10), (0, 1)),
-        (2, (10, 0), (0, 1)),
-    ]
-    # the arcless row 1 and the target row, arcs or not, are left out
-    assert view(Graph(3, *zip((2, 3, 1), (3, 1, 4))), [30, 20, 10]) == [(1, (20, 10), (0, 1))]
+    # the complete graph on 10 nodes, the smallest dense one (90 > 80 arcs),
+    # each row's arcs listed from the highest column down; arc i -> j weighs 10i + j
+    complete = [(i, j, 10 * i + j) for i in range(1, 11) for j in range(10, 0, -1) if i != j]
+    v = [100 * k for k in range(10)]
+    # node 5's row: its diagonal, then its arcs to nodes 10 down to 6 and 4 down to 1
+    row5 = (
+        4,
+        (400, 900, 800, 700, 600, 500, 300, 200, 100, 0),
+        (0, 60, 59, 58, 57, 56, 54, 53, 52, 51),
+    )
+    rows = view(Graph(10, *zip(*complete)), v)
+    # the target row is left out; each row keeps its diagonal, then its arcs in arc order
+    assert [i for i, _, _ in rows] == list(range(9))
+    assert rows[0] == (
+        0,
+        (0, 900, 800, 700, 600, 500, 400, 300, 200, 100),
+        (0, 20, 19, 18, 17, 16, 15, 14, 13, 12),
+    )
+    assert rows[4] == row5
+    # without row 1's arcs the graph is still dense (81 > 80 arcs); its arcless row is left out
+    rows = view(Graph(10, *zip(*[a for a in complete if a[0] != 1])), v)
+    assert [i for i, _, _ in rows] == list(range(1, 9))
+    assert rows[3] == row5
 
 
 def test_preds_hold_the_arcs_into_each_node():
@@ -194,6 +211,7 @@ def test_preds_exist_up_to_eight_arcs_per_node():
 def test_one_pass_build_matches_the_columns(strategy, data):
     g = data.draw(strategy)
     mat = build_cost_matrix(g)
+    assert ("sparse_rows" in vars(mat)) == (mat.full_passes > 0)  # made by the build, never later
     assert len(mat.table) == g.n
     for i, (cols, weights) in enumerate(mat.table):
         row = [(j - 1, w) for k, j, w in arcs(g) if k - 1 == i]

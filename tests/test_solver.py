@@ -303,6 +303,9 @@ def test_only_dense_solves_build_the_row_view():
     pairs = [(i, j) for i in range(1, 13) for j in range(1, 13) if i != j]
     dense = build_cost_matrix(Graph(12, *zip(*[(i, j, 1) for i, j in pairs])))
     assert sparse.full_passes == 0 and dense.full_passes == _FULL_PASSES
+    # the build makes the dense matrix's view, and no solve makes the sparse one's
+    assert "sparse_rows" not in vars(sparse)
+    assert "sparse_rows" in vars(dense)
     for mat in (sparse, dense):
         for solve in (bk_classic, bk_accelerated):
             extract_route(mat, solve(mat).distances)
