@@ -92,7 +92,7 @@ def test_build_cost_matrix(benchmark, graph):
 def test_build_cost_matrix_without_arcs(benchmark):
     # the hostile shape of a 51-byte `G 100000 0` record: n rows, no arcs
     mat = benchmark(build_cost_matrix, Graph(MAX_NODES))
-    assert len(mat.table) == MAX_NODES
+    assert len(mat.cols) == MAX_NODES
 
 
 @pytest.mark.parametrize("solve", [bk_classic, bk_accelerated], ids=["classic", "accelerated"])

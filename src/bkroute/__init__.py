@@ -1,6 +1,6 @@
 """Shortest-route solving on the min-plus semiring: cost-matrix iteration
 in classic (simultaneous) and accelerated (in-place, bottom-up) sweep
-orders over a per-row table of finite costs, plus a seeded graph
+orders over the finite costs of each row, plus a seeded graph
 generator, a bit-exact set file format, and a benchmark harness with
 fixed measurement grids."""
 

@@ -1,9 +1,9 @@
 """Directed graphs with integer arc weights and their cost matrices.
 
-A cost matrix keeps only its finite entries, one table row per node, so
-nothing here grows with n*n. Node indices are 1-based wherever a human
-sees them (arc lists, files, printed routes); in-memory tables are
-ordinary 0-based sequences.
+A cost matrix keeps only its finite entries, in flat tuples with one
+entry per node, so nothing here grows with n*n. Node indices are 1-based
+wherever a human sees them (arc lists, files, printed routes); in-memory
+tables are ordinary 0-based sequences.
 """
 
 from __future__ import annotations
@@ -153,13 +153,9 @@ def _check_arcs(
 #: weights at those columns, in the same order.
 RowTerms = tuple[int, Callable[[Sequence[Weight]], Sequence[Weight]], tuple[Weight, ...]]
 
-#: Arcs into each node: node j -> ((i, w), ...), the rows i with an arc
-#: into j and that arc's weight w.
-Preds = dict[int, tuple[tuple[int, Weight], ...]]
-
-#: One row of the cost table: the 0-based columns of the row's arcs, in arc
-#: order, and the weights at them. The diagonal is not stored.
-TableRow = tuple[tuple[int, ...], tuple[Weight, ...]]
+#: Arcs into each node, by 0-based node j: ((i, w), ...), the rows i with
+#: an arc into j and that arc's weight w, or () when no arc enters j.
+Preds = tuple[tuple[tuple[int, Weight], ...], ...]
 
 
 class CostMatrix:
@@ -170,19 +166,20 @@ class CostMatrix:
     The columns are a Graph's: arc k runs from node src[k] to node dst[k]
     (1-based) with weight wt[k]. They are not checked, so tests can pass
     weights no Graph admits, but unequal lengths raise ValueError. One pass
-    groups the arcs by row: `table[i]` (0-based) is row i's arcs in arc
-    order, so an arcless row is a pair of CPython's shared empty tuples.
-    Only `sparse_rows` and `entry` add the zero diagonal. `preds[j]`
-    (0-based) holds the arcs (i, w) into node j from every row i but the
-    target's, and a node that no such arc enters has no key. `sparse_rows`
-    holds the RowTerms of the non-target rows with arcs, and `full_passes`
-    is the number of passes a solve reads them before it takes candidates
-    from `preds`. A matrix is built holding what its passes read: when
-    m <= 8n, which len(src) tells up front, `full_passes` is 0 and the
-    table's pass fills `preds` too, in arc order; otherwise `full_passes`
-    is `_FULL_PASSES`, the build makes `sparse_rows` from the finished
-    table, and `preds` is built from the table, row by row, only when a
-    solve first needs it.
+    groups the arcs by row into three flat tuples with one entry per
+    0-based node: `cols[i]` and `weights[i]` are row i's arcs in arc order,
+    the 0-based columns and the weights at them, and `preds[j]` holds the
+    arcs (i, w) into node j from every row i but the target's. An entry
+    with no arc is CPython's shared empty tuple. Only `sparse_rows` and
+    `entry` add the zero diagonal. `sparse_rows` holds the RowTerms of the
+    non-target rows with arcs, and `full_passes` is the number of passes a
+    solve reads them before it takes candidates from `preds`. A matrix is
+    built holding what its passes read: when m <= 8n, which len(src) tells
+    up front, `full_passes` is 0 and the pass that fills `cols` and
+    `weights` fills `preds` too, in arc order; otherwise `full_passes` is
+    `_FULL_PASSES`, the build makes `sparse_rows` from the finished rows,
+    and `preds` is built from them, row by row, only when a solve first
+    needs it.
     """
 
     def __init__(
@@ -205,13 +202,14 @@ class CostMatrix:
                 if i != target:
                     into[j].append((i, w))
             self.full_passes = 0
-            self.preds = _keyed(into)  # where the cached_property below stores it
-        self.table: tuple[TableRow, ...] = tuple(zip(map(tuple, cols), map(tuple, weights)))
+            self.preds = tuple(map(tuple, into))  # where the cached_property below stores it
+        self.cols: tuple[tuple[int, ...], ...] = tuple(map(tuple, cols))
+        self.weights: tuple[tuple[Weight, ...], ...] = tuple(map(tuple, weights))
         del cols, weights  # so that the build never holds them and the view at once
         if self.full_passes:
-            rows = enumerate(self.table[:-1])
+            rows = zip(range(n - 1), self.cols, self.weights)
             self.sparse_rows: tuple[RowTerms, ...] = tuple(
-                (i, itemgetter(*(i,) + c), (0,) + w) for i, (c, w) in rows if c
+                (i, itemgetter(*(i,) + c), (0,) + w) for i, c, w in rows if c
             )
 
     @cached_property
@@ -219,10 +217,10 @@ class CostMatrix:
         """The in-arc lists of a dense matrix, built on a solve's first
         candidate pass; a sparse matrix's build has already stored them."""
         into: list[list[tuple[int, Weight]]] = [[] for _ in range(self.n)]
-        for i, (cols, weights) in enumerate(self.table[:-1]):
+        for i, cols, weights in zip(range(self.n - 1), self.cols, self.weights):
             for j, w in zip(cols, weights):
                 into[j].append((i, w))
-        return _keyed(into)
+        return tuple(map(tuple, into))
 
     def entry(self, i: int, j: int) -> Weight:
         """1-based accessor, for tests and route checks. Takes time in
@@ -232,15 +230,10 @@ class CostMatrix:
             raise IndexError(f"entry ({i}, {j}) is outside 1..{n}")
         if i == j:
             return 0
-        cols, weights = self.table[i - 1]
         try:
-            return weights[cols.index(j - 1)]
+            return self.weights[i - 1][self.cols[i - 1].index(j - 1)]
         except ValueError:
             return INF
-
-
-def _keyed(into: list[list[tuple[int, Weight]]]) -> Preds:
-    return {j: tuple(arcs_in) for j, arcs_in in enumerate(into) if arcs_in}
 
 
 def build_cost_matrix(g: Graph) -> CostMatrix:

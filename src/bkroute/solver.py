@@ -24,10 +24,10 @@ most n + m terms gets the result that the paper's n terms per row would.
 
 A candidate pass evaluates no row in full. Row i's minimum can only drop
 when a successor j drops, and then only to w + v[j] for the arc i -> j.
-So when a row changes to b, each row with an arc into it (``preds``) is
-offered the candidate w + b, and keeps it in ``best`` if it beats both its
-value and the candidates it already holds. A pass then takes the queued
-candidates in its own order:
+So when row k changes to b, each row i with an arc i -> k, one (i, w) of
+``preds[k]``, is offered the candidate w + b, and keeps it in ``best`` if
+it beats both its value and the candidates it already holds. A pass then
+takes the queued candidates in its own order:
 
 * ``_simultaneous_candidates`` applies every candidate offered by the
   previous pass, then offers candidates from the rows it changed;
@@ -117,7 +117,7 @@ def _offer(preds: Preds, v: list[Weight], pending: Pending, rows: Iterable[int])
     best, queued = pending
     for k in rows:
         b = v[k]
-        for i, w in preds.get(k, ()):
+        for i, w in preds[k]:
             c = w + b
             if c < v[i] and c < best[i]:
                 if best[i] == INF:
@@ -169,7 +169,7 @@ def _bottom_up_candidates(
         k = rows.pop()
         v[k] = b = best[k]
         best[k] = INF
-        for i, w in preds.get(k, ()):
+        for i, w in preds[k]:
             c = w + b
             if c < v[i] and c < best[i]:
                 if best[i] == INF:
@@ -239,18 +239,20 @@ def extract_route(a: CostMatrix, distances: Sequence[Weight]) -> Route:
     and backs up from a node whose tight arcs are used up. Backing up is
     needed only when zero-weight cycles make tight arcs lead away from the
     target; with positive weights the first tight arc always continues,
-    so the walk never backtracks. A row's tight arcs are picked out and
-    sorted by column only when the walk enters that row. Because every hop
-    is tight, the summed cost telescopes to distances[0] exactly.
+    so the walk never backtracks. Row k's tight arcs are picked out of
+    ``a.cols[k]`` and ``a.weights[k]`` and sorted by column only when the
+    walk enters that row. Because every hop is tight, the summed cost
+    telescopes to distances[0] exactly.
     """
     n = a.n
     if distances[0] == INF:
         raise NoRouteError("node 1 cannot reach the target")
-    table = a.table
+    cols, weights = a.cols, a.weights
 
     def tight_arcs(k: int) -> Iterator[tuple[int, Weight]]:
         dk = distances[k]
-        return iter(sorted((j, w) for j, w in zip(*table[k]) if w + distances[j] == dk))
+        arcs = zip(cols[k], weights[k])
+        return iter(sorted((j, w) for j, w in arcs if w + distances[j] == dk))
 
     tried = [False] * n
     tried[0] = True

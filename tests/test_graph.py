@@ -187,10 +187,10 @@ def test_sparse_rows_hold_the_finite_entries_of_each_row():
 
 
 def test_preds_hold_the_arcs_into_each_node():
-    # 0-based node j -> the (row, weight) pairs of the arcs into j, in arc order
-    assert build_cost_matrix(CHAIN).preds == {1: ((0, 1),), 2: ((1, 1),), 3: ((2, 1), (0, 10))}
+    # entry j (0-based): the (row, weight) pairs of the arcs into j, in arc order
+    assert build_cost_matrix(CHAIN).preds == ((), ((0, 1),), ((1, 1),), ((2, 1), (0, 10)))
     # the target's arc 3 -> 1 is left out with its row, which is never evaluated
-    assert build_cost_matrix(Graph(3, *zip((2, 3, 1), (3, 1, 4)))).preds == {2: ((1, 1),)}
+    assert build_cost_matrix(Graph(3, *zip((2, 3, 1), (3, 1, 4)))).preds == ((), (), ((1, 1),))
 
 
 def test_preds_exist_up_to_eight_arcs_per_node():
@@ -212,20 +212,18 @@ def test_one_pass_build_matches_the_columns(strategy, data):
     g = data.draw(strategy)
     mat = build_cost_matrix(g)
     assert ("sparse_rows" in vars(mat)) == (mat.full_passes > 0)  # made by the build, never later
-    assert len(mat.table) == g.n
-    for i, (cols, weights) in enumerate(mat.table):
-        row = [(j - 1, w) for k, j, w in arcs(g) if k - 1 == i]
-        assert list(zip(cols, weights)) == row  # its arcs in arc order, no diagonal
     assert (mat.full_passes == 0) == (g.m <= 8 * g.n)
     assert ("preds" in vars(mat)) == (mat.full_passes == 0)
-    into: dict[int, list[tuple[int, int]]] = {}
-    for i, j, w in arcs(g):
-        if i != g.n:
-            into.setdefault(j - 1, []).append((i - 1, w))
-    # a dense matrix's lists, built from its table, hold the same arcs
-    assert {j: sorted(p) for j, p in mat.preds.items()} == {
-        j: sorted(p) for j, p in into.items()
-    }
+    for member in (mat.cols, mat.weights, mat.preds):
+        assert type(member) is tuple and len(member) == g.n
+    for i in range(g.n):
+        # row i's arcs in arc order, no diagonal
+        row = [(j - 1, w) for k, j, w in arcs(g) if k - 1 == i]
+        assert list(zip(mat.cols[i], mat.weights[i])) == row
+        # the arcs into node i from every row but the target's; a dense
+        # matrix's lists, built from its rows, hold the same arcs
+        into = [(k - 1, w) for k, j, w in arcs(g) if j - 1 == i and k != g.n]
+        assert sorted(mat.preds[i]) == sorted(into)
 
 
 @pytest.mark.parametrize(
