@@ -1,7 +1,8 @@
 """Micro-benchmarks of graph generation, graph construction (where the arc
 rules are checked), the matrix build (also of an arcless MAX_NODES graph),
 the two sweep kernels (also on long sparse and dense chains), route
-extraction, the BKSET reader and writer and the timed solves of a whole set.
+extraction, the oracle, the BKSET reader and writer and the timed solves of
+a whole set.
 
 A dense matrix (m > 8n) is built with the full-pass view its solves read,
 so `test_build_cost_matrix[dense-n90-m7800]` times the view and no
@@ -35,6 +36,7 @@ from bkroute import (
     draw_graph,
     extract_route,
     generate_set,
+    oracle_distances,
     read_set,
     time_solver,
     write_set,
@@ -108,6 +110,11 @@ def test_extract_route(benchmark, graph):
     distances = bk_classic(mat).distances
     route = benchmark(extract_route, mat, distances)
     assert route.cost == distances[0]
+
+
+def test_oracle_distances(benchmark, graph):
+    dist = benchmark(oracle_distances, graph)
+    assert dist == bk_classic(build_cost_matrix(graph)).distances
 
 
 #: A bkset-files-shaped set: n 70..90, m 1000..8010, 10 graphs (about

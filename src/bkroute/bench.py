@@ -170,6 +170,11 @@ def verify_equivalence(graphs: list[Graph]) -> tuple[int, ...]:
     """Check classic == accelerated == oracle distances on every graph,
     holding one graph's matrix at a time.
 
+    Each graph's oracle runs before its matrix is built, so the oracle's
+    in-arc index is freed before the matrix exists: verify holds one or
+    the other, never both. A ConvergenceError is re-raised naming the
+    1-based graph it came from.
+
     Returns the 1-based numbers of the graphs where they differ, so an
     empty tuple means the whole set agrees.
     """
@@ -177,13 +182,15 @@ def verify_equivalence(graphs: list[Graph]) -> tuple[int, ...]:
         raise ValueError("graph set is empty")
     mismatched = []
     for gi, g in enumerate(graphs, start=1):
+        expected = oracle_distances(g)
         mat = build_cost_matrix(g)
-        if not (
-            bk_classic(mat).distances
-            == bk_accelerated(mat).distances
-            == oracle_distances(g)
-        ):
-            mismatched.append(gi)
+        try:
+            if not (
+                bk_classic(mat).distances == bk_accelerated(mat).distances == expected
+            ):
+                mismatched.append(gi)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"graph {gi}: {exc}") from exc
         del mat  # before the next graph's matrix is built
     return tuple(mismatched)
 

@@ -17,11 +17,16 @@ from .graph import INF, Graph, Weight
 def oracle_distances(g: Graph) -> tuple[Weight, ...]:
     """Exact shortest cost from every node to node n, by Dijkstra's search
     from node n over the reversed arcs; exact because weights are
-    non-negative. Takes O(n + m log m) time, whatever the arc order."""
+    non-negative. Takes O(n + m log m) time, whatever the arc order.
+
+    The in-arc index is one list per node holding that node's in-arcs as
+    alternating ints i, w, i, w, ...: two list slots per arc, no tuple."""
     n = g.n
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # 1-based, like the arcs
+    into: list[list[int]] = [[] for _ in range(n + 1)]  # 1-based, like the arcs
     for i, j, w in zip(g.src, g.dst, g.wt):
-        into[j].append((i, w))
+        arcs = into[j]
+        arcs.append(i)
+        arcs.append(w)
     dist: list[Weight] = [INF] * (n + 1)  # slot 0 is unused
     dist[n] = 0
     heap = [(0, n)]
@@ -29,7 +34,8 @@ def oracle_distances(g: Graph) -> tuple[Weight, ...]:
         d, j = heappop(heap)
         if d > dist[j]:
             continue  # a stale entry: j was settled at a smaller distance
-        for i, w in into[j]:
+        arcs = iter(into[j])
+        for i, w in zip(arcs, arcs):
             c = d + w
             if c < dist[i]:
                 dist[i] = c

@@ -42,7 +42,8 @@ def within_memory_bound(make, *args, held: int | None = None, peak: int = 64 * 2
 @functools.cache
 def large_record() -> Graph:
     """One 10**5-arc graph (n=1000, weights up to 9), the large record of
-    the reader and Graph memory tests, drawn once per session."""
+    the reader, Graph, oracle and verify memory tests, drawn once per
+    session."""
     return draw_graph(1000, 10**5, RngStream(16), 9)
 
 
@@ -64,6 +65,16 @@ def complete_graphs(draw, min_n: int = 2, max_n: int = 8):
     n = draw(st.integers(min_n, max_n))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     return Graph(n, *zip(*[(i, j, draw(st.integers(0, 100))) for i, j in pairs]))
+
+
+@st.composite
+def zero_weight_cycles(draw, max_n: int = 8):
+    """A graph in which some nodes form a cycle of zero-weight arcs."""
+    g = draw(graphs(min_n=3, max_n=max_n, min_w=0))
+    cycle = draw(st.permutations(range(1, g.n + 1)))[: draw(st.integers(2, g.n))]
+    zero = dict.fromkeys(zip(cycle, cycle[1:] + cycle[:1]), 0)
+    kept = [(i, j, w) for i, j, w in arcs(g) if (i, j) not in zero]
+    return Graph(g.n, *zip(*kept, *((i, j, 0) for i, j in zero)))
 
 
 @st.composite

@@ -117,6 +117,26 @@ def test_verify_reports_the_mismatched_graphs(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_verify_names_the_graph_that_fails_to_converge(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "three.bkset"
+    path.write_text(
+        "BKSET 1\nSPEC 2 4 1 3 0 100\nCOUNT 3\n"
+        "G 2 1\n1 2 5\nG 3 2\n1 2 1\n2 3 1\nG 4 3\n1 2 1\n2 3 1\n3 4 1\n"
+    )
+    solve = bkroute.bench.bk_classic
+
+    def boom(mat):  # graph 2 is the only one with 3 nodes
+        if mat.n == 3:
+            raise bkroute.bench.ConvergenceError("synthetic failure")
+        return solve(mat)
+
+    monkeypatch.setattr(bkroute.bench, "bk_classic", boom)
+    assert main(["verify", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: graph 2: synthetic failure\n"
+    assert captured.out == ""
+
+
 def test_verify_empty_set_passes(tmp_path, capsys):
     path = tmp_path / "empty.bkset"
     path.write_text("BKSET 1\nSPEC 2 2 1 1 0 100\nCOUNT 0\n")

@@ -4,6 +4,7 @@ import time
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bkroute import INF, MAX_NODES, MAX_WEIGHT, Graph, oracle_distances
 from helpers import (
@@ -12,6 +13,9 @@ from helpers import (
     bounded_distances,
     brute_force_distance,
     graphs,
+    large_record,
+    within_memory_bound,
+    zero_weight_cycles,
 )
 
 
@@ -38,6 +42,12 @@ def test_oracle_chain_at_max_nodes_in_arc_order():
     assert dist == tuple(MAX_WEIGHT * (n - k) for k in range(1, n + 1))
 
 
+def test_oracle_holds_no_tuple_per_arc():
+    # its in-arc index holds ints only, i, w, i, w, ...: the 10**5-arc record
+    # peaked at 4.1 MiB traced, and at 8.6 MiB with an (i, w) tuple per arc
+    within_memory_bound(oracle_distances, large_record(), peak=5 * 2**20)
+
+
 def test_brute_force_chain():
     assert brute_force_distance(CHAIN) == 3
 
@@ -61,10 +71,28 @@ def test_bounded_distances_by_arc_budget():
     assert bounded_distances(CHAIN, 4) == (3, 2, 1, 0)
 
 
-@given(graphs(max_n=7))
-def test_oracle_agrees_with_enumeration(g):
+def assert_agrees_with_enumeration(g: Graph) -> None:
     dist = oracle_distances(g)
     assert dist[g.n - 1] == 0
     assert dist[0] == brute_force_distance(g)
     # a budget of n-1 arcs covers every simple path
     assert bounded_distances(g, g.n - 1) == dist
+
+
+@given(graphs(max_n=7))
+def test_oracle_agrees_with_enumeration(g):
+    assert_agrees_with_enumeration(g)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        graphs(max_n=7, min_w=0),
+        graphs(max_n=7, min_w=MAX_WEIGHT - 2, max_w=MAX_WEIGHT),
+        zero_weight_cycles(max_n=7),
+    ],
+    ids=["min_w=0", "near-MAX_WEIGHT", "zero-weight-cycle"],
+)
+@given(data=st.data())
+def test_oracle_agrees_with_enumeration_at_every_weight(strategy, data):
+    assert_agrees_with_enumeration(data.draw(strategy))

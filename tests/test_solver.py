@@ -35,6 +35,7 @@ from helpers import (
     graphs,
     traced,
     within_memory_bound,
+    zero_weight_cycles,
 )
 
 CHAIN_MAT = build_cost_matrix(CHAIN)
@@ -228,16 +229,6 @@ def dense_chains(draw):
     shuffled = arcs(g)
     draw(st.randoms(use_true_random=True)).shuffle(shuffled)
     return Graph(n, *zip(*shuffled))
-
-
-@st.composite
-def zero_weight_cycles(draw):
-    """A graph in which some nodes form a cycle of zero-weight arcs."""
-    g = draw(graphs(min_n=3, min_w=0))
-    cycle = draw(st.permutations(range(1, g.n + 1)))[: draw(st.integers(2, g.n))]
-    zero = dict.fromkeys(zip(cycle, cycle[1:] + cycle[:1]), 0)
-    kept = [(i, j, w) for i, j, w in arcs(g) if (i, j) not in zero]
-    return Graph(g.n, *zip(*kept, *((i, j, 0) for i, j in zero)))
 
 
 #: Shaped like the sparse-route corpus: n 50..90, m 100..400.
